@@ -16,6 +16,14 @@ normalized entry:
   (``benchmarks/check_perf_gate.py``) fails on any hash drift: a perf
   win that changes repairs is a correctness regression.
 
+Every entry, of every kind, also records exact-search degradation
+instead of hiding it: ``degraded`` (any repair behind the entry fell
+back from an exact algorithm to greedy), ``degraded_warning`` (the first
+``DegradedRepairWarning`` message, or null) and ``nodes_generated`` (the
+expansion nodes exact search generated, budget-tripped components
+included). An "exact" wall time with ``degraded: true`` times a budget
+trip plus greedy, not an exact search.
+
 Each entry also breaks the *search phase* out of the span totals
 (``search_phase_seconds``: ``mis_enumeration``, ``greedy_growth``,
 ``combination``, ``tree_search``; ``search_seconds`` is their sum) —
@@ -132,6 +140,42 @@ def workload():
     return relation
 
 
+def repair_recorded(repairer, relation, search: dict):
+    """Repair, folding any exact-search degradation into *search*.
+
+    Degradation is recorded, not hidden: *search* (an entry's
+    ``{"degraded", "degraded_warning", "nodes_generated"}``, see
+    :func:`new_search_record`) gains the run's degradation flag, its
+    first ``DegradedRepairWarning`` message, and the expansion nodes the
+    exact search generated — including those of a component whose budget
+    tripped before it fell back to greedy.
+    """
+    from repro.exec.stats import DegradedRepairWarning
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = repairer.repair(relation)
+    stats = result.stats
+    messages = [
+        str(w.message)
+        for w in caught
+        if issubclass(w.category, DegradedRepairWarning)
+    ]
+    search["degraded"] = search["degraded"] or stats.degraded or bool(messages)
+    if messages and search["degraded_warning"] is None:
+        search["degraded_warning"] = messages[0]
+    search["nodes_generated"] += int(stats.get("nodes_generated", 0)) + sum(
+        int(record.get("nodes_generated", 0))
+        for record in stats.degraded_components
+    )
+    return result
+
+
+def new_search_record() -> dict:
+    """The degradation/search fields every trajectory entry carries."""
+    return {"degraded": False, "degraded_warning": None, "nodes_generated": 0}
+
+
 def run_entry(algorithm: str = ALGORITHM) -> dict:
     """One traced repair of the standard workload as a trajectory entry."""
     relation = workload()
@@ -150,10 +194,9 @@ def run_entry(algorithm: str = ALGORITHM) -> dict:
         trace=True,
         **extra,
     )
+    search = new_search_record()
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degradations are expected here
-        result = repairer.repair(relation)
+    result = repair_recorded(repairer, relation, search)
     wall = time.perf_counter() - start
     report = repairer.report()
     counters = report.counters
@@ -183,6 +226,7 @@ def run_entry(algorithm: str = ALGORITHM) -> dict:
         "cost": round(result.cost, 9),
         "output_hash": report.result["output_hash"],
         "rss_peak_bytes": report.rss.get("peak_bytes"),
+        **search,
     }
 
 
@@ -230,7 +274,7 @@ def _measure_point(n: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def _shipping_measurement() -> dict:
+def _shipping_measurement(search: dict) -> dict:
     """An n_jobs=2 Tax repair, recording what crossed the pool boundary."""
     from repro.core.engine import Repairer
     from repro.generator.noise import NoiseConfig, inject_noise
@@ -248,9 +292,7 @@ def _shipping_measurement() -> dict:
         thresholds=tax_thresholds(),
         n_jobs=2,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = repairer.repair(relation)
+    result = repair_recorded(repairer, relation, search)
     stats = result.stats
     # what the pre-1.2 substrate paid: the whole relation pickled into
     # every per-task message, row-major (schema + row tuples)
@@ -276,7 +318,7 @@ def _shipping_measurement() -> dict:
     }
 
 
-def _hash_sweep() -> dict:
+def _hash_sweep(search: dict) -> dict:
     """Every algorithm's output hash on the pinned 800-tuple HOSP slice."""
     from repro.obs import repair_output_hash
 
@@ -294,9 +336,7 @@ def _hash_sweep() -> dict:
             thresholds=thresholds,
             **extra,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = repairer.repair(relation)
+        result = repair_recorded(repairer, relation, search)
         hashes[algorithm] = repair_output_hash(result.edits, result.cost)
     return hashes
 
@@ -314,7 +354,9 @@ def run_substrate_entry() -> dict:
     marginal = (full["rss_bytes"] - small["rss_bytes"]) / (
         full["n_tuples"] - small["n_tuples"]
     )
-    shipping = _shipping_measurement()
+    search = new_search_record()
+    shipping = _shipping_measurement(search)
+    hashes = _hash_sweep(search)
     return {
         "workload": "tax_substrate",
         "scale": SCALE,
@@ -324,7 +366,8 @@ def run_substrate_entry() -> dict:
         "marginal_bytes_per_tuple": round(marginal, 2),
         "shipping": shipping,
         "hash_slice_n": HASH_SLICE_N,
-        "output_hashes": _hash_sweep(),
+        "output_hashes": hashes,
+        **search,
     }
 
 
@@ -407,7 +450,7 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
     return out
 
 
-def _vectorized_hash_sweep() -> dict:
+def _vectorized_hash_sweep(search: dict) -> dict:
     """Repair hashes of every algorithm under the vectorized strategy.
 
     For each algorithm: the indexed-serial reference hash plus the
@@ -438,9 +481,7 @@ def _vectorized_hash_sweep() -> dict:
                 **kwargs,
                 **extra,
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = repairer.repair(relation)
+            result = repair_recorded(repairer, relation, search)
             per_setting[label] = repair_output_hash(result.edits, result.cost)
         hashes[algorithm] = per_setting
     return hashes
@@ -461,7 +502,8 @@ def run_simjoin_entry() -> dict:
     tax_sweep = _simjoin_detect_sweep(
         tax_relation, TAX_FDS, tax_thresholds(), rounds=1
     )
-    sweep = _vectorized_hash_sweep()
+    search = new_search_record()
+    sweep = _vectorized_hash_sweep(search)
     return {
         "workload": "vectorized_simjoin",
         "scale": SCALE,
@@ -473,6 +515,7 @@ def run_simjoin_entry() -> dict:
         "hashes_match": all(
             len(set(values.values())) == 1 for values in sweep.values()
         ),
+        **search,
     }
 
 
@@ -523,7 +566,7 @@ def _sched_workload(n: int, chain: int):
     return relation, thresholds
 
 
-def _sched_run(n_jobs: int, split_threshold):
+def _sched_run(n_jobs: int, split_threshold, search: dict):
     """One repair of the skewed workload: (result, wall, output hash)."""
     from repro.generator.skew import SKEW_FDS
     from repro.obs import repair_output_hash
@@ -538,12 +581,12 @@ def _sched_run(n_jobs: int, split_threshold):
         split_threshold=split_threshold,
     )
     start = time.perf_counter()
-    result = repairer.repair(relation)
+    result = repair_recorded(repairer, relation, search)
     wall = time.perf_counter() - start
     return result, wall, repair_output_hash(result.edits, result.cost)
 
 
-def _sched_hash_sweep() -> dict:
+def _sched_hash_sweep(search: dict) -> dict:
     """Every algorithm's output hash across serial and split settings.
 
     The determinism contract under test: for each algorithm, the three
@@ -568,7 +611,7 @@ def _sched_hash_sweep() -> dict:
                 split_threshold=split,
                 max_subtasks=4,
             )
-            result = repairer.repair(relation)
+            result = repair_recorded(repairer, relation, search)
             per_setting.append(
                 repair_output_hash(result.edits, result.cost)
             )
@@ -591,10 +634,13 @@ def run_sched_entry() -> dict:
     """
     import os
 
-    serial_result, serial_wall, serial_hash = _sched_run(1, None)
-    static_result, static_wall, static_hash = _sched_run(SCHED_JOBS, None)
+    search = new_search_record()
+    serial_result, serial_wall, serial_hash = _sched_run(1, None, search)
+    static_result, static_wall, static_hash = _sched_run(
+        SCHED_JOBS, None, search
+    )
     adaptive_result, adaptive_wall, adaptive_hash = _sched_run(
-        SCHED_JOBS, SCHED_SPLIT_THRESHOLD
+        SCHED_JOBS, SCHED_SPLIT_THRESHOLD, search
     )
 
     serial_units = [
@@ -614,7 +660,7 @@ def run_sched_entry() -> dict:
         adaptive_units, SCHED_JOBS
     )
 
-    sweep = _sched_hash_sweep()
+    sweep = _sched_hash_sweep(search)
     return {
         "workload": "skew_sched",
         "scale": SCALE,
@@ -664,6 +710,7 @@ def run_sched_entry() -> dict:
                 len(set(values)) == 1 for values in sweep.values()
             ),
         },
+        **search,
     }
 
 

@@ -189,7 +189,7 @@ class ViolationGraph:
         fd: FD,
         model: DistanceModel,
         tau: float,
-        join_strategy: str = "filtered",
+        join_strategy: str = "indexed",
         grouping: bool = True,
         registry: Optional["AttributeIndexRegistry"] = None,
     ) -> "ViolationGraph":

@@ -31,7 +31,7 @@ def greedy_sets_per_fd(
     fds: Sequence[FD],
     model: DistanceModel,
     thresholds: Dict[FD, float],
-    join_strategy: str = "filtered",
+    join_strategy: str = "indexed",
     seed_dominant: bool = True,
     registry: Optional[AttributeIndexRegistry] = None,
     counters: Optional[Dict[str, int]] = None,
@@ -73,7 +73,7 @@ def repair_multi_fd_appro(
     model: DistanceModel,
     thresholds: Dict[FD, float],
     use_tree: bool = True,
-    join_strategy: str = "filtered",
+    join_strategy: str = "indexed",
 ) -> RepairResult:
     """Appro-M repair of one FD-graph component."""
     fds = list(fds)

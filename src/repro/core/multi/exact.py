@@ -178,7 +178,7 @@ def repair_multi_fd_exact(
     max_nodes: Optional[int] = 200_000,
     max_combinations: int = 1_000_000,
     max_sets_per_fd: int = 64,
-    join_strategy: str = "filtered",
+    join_strategy: str = "indexed",
 ) -> RepairResult:
     """Optimal joint repair of one FD-graph component.
 

@@ -130,7 +130,7 @@ def repair_multi_fd_greedy(
     model: DistanceModel,
     thresholds: Dict[FD, float],
     use_tree: bool = True,
-    join_strategy: str = "filtered",
+    join_strategy: str = "indexed",
 ) -> RepairResult:
     """Greedy-M repair of one FD-graph component."""
     fds = list(fds)

@@ -31,7 +31,7 @@ def repair_single_fd_exact(
     tau: float,
     prune: bool = True,
     max_nodes: Optional[int] = 200_000,
-    join_strategy: str = "filtered",
+    join_strategy: str = "indexed",
     grouping: bool = True,
     registry=None,
 ) -> RepairResult:

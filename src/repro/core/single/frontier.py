@@ -29,6 +29,14 @@ accounting, emission order, pruning decisions and budget-trip point of
 the pre-refactor loop — the Hypothesis differential suite
 (``tests/test_search_bitset.py``) pins it against the set-based oracle.
 
+Bounds are settled once per level (:meth:`SearchKernel.settle_level`).
+With numpy, one batched min-reduction yields the Eq. (6) columns of a
+level's new children and one sequential ``cumsum`` reduction their
+uppers and FTC lowers — the same doubles the big-int scalar path
+(:meth:`SearchKernel.upper_of` / :meth:`SearchKernel.fresh_lower`, the
+numpy-absent fallback) produces one node at a time
+(``tests/test_search_batched_bounds.py``).
+
 Determinism note: an incumbent bound may only *prune* — any exchanged
 value is the cost of a concrete feasible repair, hence ``>=`` the
 optimum, and pruning is strict (``lower > best_upper``), so no
@@ -53,6 +61,16 @@ except ImportError:  # pragma: no cover
 
 #: float tolerance of the winner tie-break (kept from the original scan)
 TIE_EPSILON = 1e-12
+
+#: how an emitted child relates to its parent: same mask ("stay
+#: maximal"), parent plus the level's vertex (FT-consistent), or the
+#: re-derived FTC candidate
+_STAY, _ADD, _FTC = 0, 1, 2
+
+#: elements (float64: 2 MB) one block of batched bound work may gather;
+#: wide levels are settled in blocks of children so transient memory
+#: stays bounded whatever the frontier width
+_BLOCK_ELEMENTS = 1 << 18
 
 
 class ExpansionLimitError(RuntimeError):
@@ -160,7 +178,7 @@ class FrontierState:
     holds Eq. (6) uppers emitted at the previous level, folded into
     ``best_upper`` at the next boundary (empty whenever the state is
     shipped between processes — :meth:`SearchKernel.advance` folds
-    before yielding).
+    before any early return).
     """
 
     level: int
@@ -169,6 +187,18 @@ class FrontierState:
     coverage: List[int]
     best_upper: float = float("inf")
     pending_upper: List[float] = field(default_factory=list)
+
+
+def mask_matrix(masks: Sequence[int], n: int) -> "_np.ndarray":
+    """Unpack *masks* into a ``(len(masks) × n)`` 0/1 matrix, bit i at column i.
+
+    Goes through little-endian bytes, so masks of any width — including
+    components wider than a machine word (``n > 63``) — unpack alike.
+    """
+    width = (n + 7) // 8
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = _np.frombuffer(raw, dtype=_np.uint8).reshape(len(masks), width)
+    return _np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def min_outgoing_costs(
@@ -217,9 +247,20 @@ class SearchKernel:
         self.cost_rows: Optional[List[List[float]]] = (
             [list(row) for row in cost_rows] if cost_rows is not None else None
         )
+        #: ``cost_columns[j][i] == multiplicities[i] * cost_rows[i][j]``:
+        #: the weighted Eq. (6) cost column of member j, with a zero
+        #: diagonal, for the batched bounds; ``None`` selects the scalar
+        #: path (no numpy, or costs the batched path cannot take)
         self.cost_columns = None
         if prune and self.cost_rows is not None and _np is not None:
-            self.cost_columns = _np.array(self.cost_rows, dtype=float)
+            weighted = (
+                _np.array(self.cost_rows, dtype=float)
+                * _np.array(self.multiplicities, dtype=float)[:, None]
+            ).T.copy()
+            _np.fill_diagonal(weighted, 0.0)
+            if (weighted >= 0.0).all():
+                self.cost_columns = weighted
+                self._min_out = _np.array(self.min_out, dtype=float)
 
     @classmethod
     def for_graph(
@@ -262,22 +303,18 @@ class SearchKernel:
         return state
 
     def upper_of(self, mask: int) -> float:
-        """Eq. (6) for one prefix-mask, computed once at emission.
+        """Eq. (6) for one prefix-mask: the scalar, big-int reference.
 
-        The member-column minimum is order-independent, so the
-        vectorized path returns the same doubles the oracle's ``min()``
-        produces; the outer accumulation walks outside vertices in dense
-        (= access) order, the oracle's sum order.
+        Repairs every outside vertex into its cheapest member: the
+        member-column minimum, then a left-to-right sum over outside
+        vertices in dense (= access) order, the oracle's sum order. It
+        serves the seed and the numpy-absent fallback; with numpy,
+        :meth:`settle_level` computes the same doubles a level at a time.
         """
         members = mask_bits(mask)
-        if self.cost_columns is not None:
-            column = self.cost_columns[:, members].min(axis=1).tolist()
-        else:
-            rows = self.cost_rows
-            assert rows is not None
-            column = [
-                min(rows[i][j] for j in members) for i in range(self.n)
-            ]
+        rows = self.cost_rows
+        assert rows is not None
+        column = [min(rows[i][j] for j in members) for i in range(self.n)]
         total = 0.0
         multiplicities = self.multiplicities
         outside = self.full_mask & ~mask
@@ -296,6 +333,70 @@ class SearchKernel:
             if not (mask >> index) & 1:
                 total += min_out[index]
         return total
+
+    def settle_level(
+        self,
+        state: FrontierState,
+        level: int,
+        masks: List[int],
+        lower: List[float],
+        kinds: List[int],
+    ) -> None:
+        """Bounds of one level's emitted children, in emission order.
+
+        Fills the FTC children's fresh Eq. (5) lowers into *lower* and
+        appends the Eq. (6) upper of every child but the stay-maximal
+        ones to ``state.pending_upper``. A stay-maximal child has its
+        parent's mask, whose upper was folded into the incumbent at this
+        level's boundary, so it adds nothing to the fold.
+
+        Batched (numpy) path, a block of children at a time: the
+        weighted cost columns of each child's members are gathered and
+        min-reduced per child (``np.minimum.reduceat``; a min is
+        order-independent), then each upper is one
+        ``cumsum(axis=1)[:, -1]`` over the child's row. A row holds
+        ``multiplicities[i] * min_j cost[i][j]`` (rounding is monotone,
+        so weighting before the min gives the same double as after it)
+        and ``0.0`` at member positions (zero diagonal, costs ``>= 0``),
+        so the row adds exactly the scalar loop's terms with zeros
+        between them. ``cumsum`` adds left to right like that loop, and
+        ``x + 0.0 == x``, so the doubles are bit-identical; ``sum`` and
+        ``dot`` may reassociate. FTC lowers reduce the same way over
+        the decided prefix.
+        """
+        if self.cost_columns is None:
+            for child, kind in enumerate(kinds):
+                if kind == _STAY:
+                    continue
+                mask = masks[child]
+                if kind == _FTC:
+                    lower[child] = self.fresh_lower(mask, level + 1)
+                state.pending_upper.append(self.upper_of(mask))
+            return
+        n = self.n
+        kind_array = _np.array(kinds, dtype=_np.int8)
+        bounded = (kind_array != _STAY).nonzero()[0]
+        decided_terms = self._min_out[: level + 1]
+        step = max(1, _BLOCK_ELEMENTS // (n * n))
+        for start in range(0, len(bounded), step):
+            children = bounded[start : start + step]
+            bits = mask_matrix([masks[i] for i in children.tolist()], n)
+            rows, members = bits.nonzero()
+            starts = _np.searchsorted(rows, _np.arange(len(children)))
+            columns = _np.minimum.reduceat(
+                self.cost_columns[members], starts, axis=0
+            )
+            state.pending_upper += columns.cumsum(axis=1)[:, -1].tolist()
+            fresh = (kind_array[children] == _FTC).nonzero()[0]
+            if len(fresh):
+                terms = _np.where(
+                    bits[fresh, : level + 1], 0.0, decided_terms
+                )
+                for child, value in zip(
+                    children[fresh].tolist(),
+                    terms.cumsum(axis=1)[:, -1].tolist(),
+                ):
+                    lower[child] = value
 
     def fold_pending(
         self, state: FrontierState, bound: Optional[IncumbentBound] = None
@@ -333,6 +434,10 @@ class SearchKernel:
         work-stealing dispatcher re-splits stragglers at. Pending uppers
         are always folded before an early return, so shipped states
         carry ``pending_upper == []``.
+
+        Bounds are settled at the end of each level
+        (:meth:`settle_level`), before the next level's fold reads them,
+        so pruning sees exactly the values per-emission bounds gave.
         """
         n = self.n
         adjacency = self.adjacency
@@ -360,14 +465,14 @@ class SearchKernel:
             frontier_masks = state.masks
             frontier_lower = state.lower
             frontier_coverage = state.coverage
-            pending_upper = state.pending_upper
 
             emitted_index: Dict[int, int] = {}
             next_masks: List[int] = []
             next_lower: List[float] = []
             next_coverage: List[int] = []
+            next_kind: List[int] = []
 
-            def emit(mask: int, lower: float, coverage: int) -> None:
+            def emit(mask: int, lower: float, coverage: int, kind: int) -> None:
                 if mask in emitted_index:
                     stats.duplicates_removed += 1
                     stats.search_dominance_prunes += 1
@@ -381,8 +486,7 @@ class SearchKernel:
                 next_masks.append(mask)
                 next_lower.append(lower)
                 next_coverage.append(coverage)
-                if prune:
-                    pending_upper.append(self.upper_of(mask))
+                next_kind.append(kind)
 
             for position in range(len(frontier_masks)):
                 mask = frontier_masks[position]
@@ -403,6 +507,7 @@ class SearchKernel:
                         mask | vertex_bit,
                         lower,
                         coverage | vertex_adjacency | vertex_bit,
+                        _ADD,
                     )
                 else:
                     # Still maximal in the larger prefix; the excluded
@@ -411,6 +516,7 @@ class SearchKernel:
                         mask,
                         lower + min_out[level] if prune else 0.0,
                         coverage,
+                        _STAY,
                     )
                     # FTC child: strip the conflicting members, add the
                     # vertex, re-derive its coverage, test maximality.
@@ -423,20 +529,20 @@ class SearchKernel:
                         remaining ^= low
                         stats.search_bitset_ops += 1
                     if prefix_mask & ~candidate_coverage == 0:
-                        emit(
-                            candidate,
-                            self.fresh_lower(candidate, level + 1)
-                            if prune
-                            else 0.0,
-                            candidate_coverage,
-                        )
+                        # its fresh Eq. (5) lower is settled with the level
+                        emit(candidate, 0.0, candidate_coverage, _FTC)
                     else:
                         stats.non_maximal_discarded += 1
+            if prune:
+                self.settle_level(state, level, next_masks, next_lower, next_kind)
             state.masks = next_masks
             state.lower = next_lower
             state.coverage = next_coverage
             state.level = level + 1
-        return state.level >= n
+        done = state.level >= n
+        if prune and not done:
+            self.fold_pending(state, bound)
+        return done
 
     # ------------------------------------------------------------------
     def mask_assignment_cost(self, member_mask: int) -> float:

@@ -200,7 +200,7 @@ def repair_single_fd_greedy(
     fd: FD,
     model: DistanceModel,
     tau: float,
-    join_strategy: str = "filtered",
+    join_strategy: str = "indexed",
     grouping: bool = True,
     registry=None,
 ) -> RepairResult:

@@ -72,7 +72,7 @@ from repro.core.multi.greedy import repair_multi_fd_greedy
 from repro.core.repair import RepairResult, merge_results, squash_edits
 from repro.core.single.exact import repair_single_fd_exact
 from repro.core.single.greedy import repair_single_fd_greedy
-from repro.core.single.mis import ExpansionLimitError
+from repro.core.single.mis import ExpansionLimitError, ExpansionStats
 from repro.core.single.subtree import use_dispatcher
 from repro.core.violation import FTViolation, group_patterns
 from repro.dataset.relation import Relation
@@ -363,10 +363,15 @@ def _repair_sequential(
     algorithm: str,
     config: RepairConfig,
 ) -> RepairResult:
-    """Apply the single-FD algorithm FD by FD on the evolving data."""
+    """Apply the single-FD algorithm FD by FD on the evolving data.
+
+    Exact-S steps' search counters (``nodes_generated``, ...) are summed
+    into the result's stats, as Exact-M reports its own.
+    """
     current = relation
     edits: List = []
     total = 0.0
+    search: Dict[str, int] = {}
     # One registry across the FD loop: attributes untouched by earlier
     # repairs reuse their indexes, changed ones fail validation and
     # rebuild (the registry checks its value set per call).
@@ -396,7 +401,10 @@ def _repair_sequential(
         current = step.relation
         edits.extend(step.edits)
         total += step.cost
-    return RepairResult(current, squash_edits(edits), total, {})
+        for key in ExpansionStats().as_dict():
+            if key in step.stats:
+                search[key] = search.get(key, 0) + step.stats[key]
+    return RepairResult(current, squash_edits(edits), total, search)
 
 
 # ----------------------------------------------------------------------

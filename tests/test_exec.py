@@ -218,6 +218,17 @@ class TestExecutionStats:
         assert "n_jobs=1" in stats.describe()
         assert "component(s)" in stats.describe()
 
+    def test_exact_search_counters_surface_for_every_exact_algorithm(
+        self, citizens, citizens_fds, citizens_thresholds
+    ):
+        for algorithm in ("exact-s", "exact-m"):
+            result = _repair(
+                citizens_fds, citizens_thresholds, citizens, algorithm=algorithm
+            )
+            stats = result.stats
+            assert stats["nodes_generated"] > 0, algorithm
+            assert stats["nodes_pruned"] >= 0, algorithm
+
     def test_summary_mentions_execution(
         self, citizens, citizens_fds, citizens_thresholds
     ):
