@@ -5,10 +5,11 @@ Two checks, run from the repository root::
     python benchmarks/check_kernel_gate.py
 
 1. **Speedup floor** — a 200-character microbench must show the Myers
-   bit-parallel kernel at least 2x faster than the two-row DP. The
-   bit-parallel column update is O(ceil(m/w)) big-int words against the
-   DP's O(m) inner loop, so anything under 2x on 200-character strings
-   means the kernel has regressed into scalar behaviour.
+   bit-parallel kernel (``repro.core.distances.levenshtein``) at least
+   2x faster than the two-row DP oracle (``tests/oracles/kernels.py``).
+   The bit-parallel column update is O(ceil(m/w)) big-int words against
+   the DP's O(m) inner loop, so anything under 2x on 200-character
+   strings means the kernel has regressed into scalar behaviour.
 2. **Equivalence suite ran** — the differential suite
    ``tests/test_kernels.py`` is executed and must pass with **zero
    skips**: a skipped kernel-equivalence test would let a wrong kernel
@@ -74,13 +75,15 @@ def _time_kernel(fn, pairs) -> float:
 
 def check_speedup() -> "tuple":
     sys.path.insert(0, str(ROOT / "src"))
-    from repro.core.distances import levenshtein_myers, levenshtein_two_row
+    sys.path.insert(0, str(ROOT))  # the tests.oracles package
+    from repro.core.distances import levenshtein
+    from tests.oracles.kernels import levenshtein_two_row
 
     pairs = _workload()
     # warm-up + correctness spot check before timing
     for a, b in pairs[:5]:
-        assert levenshtein_myers(a, b) == levenshtein_two_row(a, b)
-    myers = _time_kernel(levenshtein_myers, pairs)
+        assert levenshtein(a, b) == levenshtein_two_row(a, b)
+    myers = _time_kernel(levenshtein, pairs)
     two_row = _time_kernel(levenshtein_two_row, pairs)
     speedup = two_row / myers if myers > 0 else float("inf")
     detail = (

@@ -5,9 +5,10 @@ trajectory file:
 
 * **ablation** — the latest strategy-ablation entry
   (``benchmarks/test_ablation_simjoin.py``, recognized by its
-  ``strategies`` mapping) must show the ``indexed`` strategy examining
-  no more candidate pairs than the ``filtered`` scan — the regression
-  the candidate-generation layer exists to prevent.
+  ``oracle_scan`` row) must show the ``indexed`` strategy examining no
+  more candidate pairs than the naive oracle's full scan, which
+  examines all ``P * (P - 1) / 2`` pattern pairs — the regression the
+  candidate-generation layer exists to prevent.
 * **vectorized floor** — the latest ``vectorized_simjoin`` sweep entry
   (``benchmarks/_trajectory.py --simjoin``) must show (a) one repair
   hash per algorithm across indexed-serial, vectorized-serial and
@@ -60,23 +61,22 @@ def _last(trajectory: list, predicate) -> dict:
 
 def _check_ablation(entry: dict) -> tuple:
     """(ok, detail) for the strategy-ablation entry."""
-    strategies = entry["strategies"]
-    indexed = strategies["indexed"]["pairs_examined"]
-    filtered = strategies["filtered"]["pairs_examined"]
+    indexed = entry["strategies"]["indexed"]["pairs_examined"]
+    scan = entry["oracle_scan"]["pairs_examined"]
     possible = entry.get("possible_pairs", 0)
     reduction = 1.0 - indexed / possible if possible else 0.0
     detail = (
         f"scale `{entry.get('scale')}`, n `{entry.get('n_tuples')}` — "
         f"possible `{possible}`, indexed examined `{indexed}`, "
-        f"filtered examined `{filtered}`, reduction `{reduction:.1%}`"
+        f"scan examined `{scan}`, reduction `{reduction:.1%}`"
     )
     print(
         f"gate: ablation scale={entry.get('scale')} "
         f"n={entry.get('n_tuples')} possible={possible} "
-        f"indexed_examined={indexed} filtered_examined={filtered}"
+        f"indexed_examined={indexed} scan_examined={scan}"
     )
-    if indexed > filtered:
-        return False, detail + " — indexed examined MORE than filtered"
+    if indexed > scan:
+        return False, detail + " — indexed examined MORE than the full scan"
     return True, detail
 
 
@@ -125,7 +125,7 @@ def main(argv: list) -> int:
         return EXIT_MISSING
     try:
         trajectory = json.loads(path.read_text())
-        ablation = _last(trajectory, lambda e: "strategies" in e)
+        ablation = _last(trajectory, lambda e: "oracle_scan" in e)
         vectorized = _last(
             trajectory, lambda e: e.get("workload") == "vectorized_simjoin"
         )

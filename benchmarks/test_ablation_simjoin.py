@@ -1,18 +1,20 @@
-"""Ablation: similarity-join filter stacks for FT-violation detection.
+"""Ablation: the similarity-join strategies against the naive full scan.
 
-All strategies return identical violation sets; the filters trade a
-cheap length/count test against the edit-distance dynamic program. On
-short key-like values (the generators' 7-character words) the DP is so
-cheap that filters only break even, so this bench measures detection
-over *long* values — 25-character strings, the regime of real HOSP
-hospital names and addresses — where skipping the DP pays.
+Both strategies return the violation list of the naive oracle
+(``tests/oracles/simjoin.py``), which computes the full Eq. (2)
+distance for every pattern pair; blocking and filtering trade cheap
+tests against edit-distance work. On short key-like values (the
+generators' 7-character words) the kernel is so cheap that filters only
+break even, so this bench measures detection over *long* values —
+25-character strings, the regime of real HOSP hospital names and
+addresses — where skipping kernel work pays.
 
 ``test_hosp_slice_trajectory`` additionally times end-to-end detection
-of every strategy on a noisy generated HOSP slice (5k tuples at
-``REPRO_BENCH_SCALE=paper``, 800 at smoke) and appends the wall clocks
-and candidate counters to the ``BENCH_simjoin.json`` trajectory file at
-the repository root; ``benchmarks/check_simjoin_gate.py`` gates CI on
-its latest entry.
+of both strategies and the oracle's full scan on a noisy generated HOSP
+slice (5k tuples at ``REPRO_BENCH_SCALE=paper``, 800 at smoke) and
+appends the wall clocks and candidate counters to the
+``BENCH_simjoin.json`` trajectory file at the repository root;
+``benchmarks/check_simjoin_gate.py`` gates CI on its latest entry.
 """
 
 import json
@@ -23,7 +25,7 @@ import pytest
 
 from _harness import SCALE, record_custom
 from repro.core.constraints import FD
-from repro.core.distances import KERNELS, DistanceModel, Weights, use_kernel
+from repro.core.distances import DistanceModel, Weights
 from repro.core.violation import group_patterns
 from repro.dataset.relation import Relation, Schema
 from repro.eval.metrics import RepairQuality
@@ -34,6 +36,7 @@ from repro.generator.vocab import build_vocabulary
 from repro.index.registry import AttributeIndexRegistry
 from repro.index.simjoin import STRATEGIES, SimilarityJoin
 from repro.utils.rng import make_rng
+from tests.oracles.simjoin import NaiveJoin
 
 TRIAL = Trial(dataset="hosp", n=400, error_rate=0.06, seed=402)
 N_ENTITIES = 120
@@ -61,7 +64,14 @@ def _long_string_relation() -> Relation:
     return relation
 
 
-@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def _make_join(fd, model, tau, strategy, registry=None):
+    """A library strategy, or the naive oracle for ``"naive"``."""
+    if strategy == "naive":
+        return NaiveJoin(fd, model, tau)
+    return SimilarityJoin(fd, model, tau, strategy=strategy, registry=registry)
+
+
+@pytest.mark.parametrize("strategy", ["naive", *STRATEGIES])
 def test_ablation_simjoin(benchmark, strategy):
     relation = _long_string_relation()
     patterns = group_patterns(relation, FD_LONG)
@@ -71,7 +81,7 @@ def test_ablation_simjoin(benchmark, strategy):
         # fresh model per run: the distance cache must not leak between
         # strategies or the later ones get a free ride
         model = DistanceModel(relation)
-        join = SimilarityJoin(FD_LONG, model, tau, strategy=strategy)
+        join = _make_join(FD_LONG, model, tau, strategy)
         return join, join.join(patterns)
 
     start = time.perf_counter()
@@ -93,9 +103,9 @@ def test_strategies_agree_on_long_strings(benchmark):
 
     def all_strategies():
         results = []
-        for strategy in STRATEGIES:
+        for strategy in ["naive", *STRATEGIES]:
             model = DistanceModel(relation)
-            join = SimilarityJoin(FD_LONG, model, 0.15, strategy=strategy)
+            join = _make_join(FD_LONG, model, 0.15, strategy)
             results.append(
                 {
                     frozenset((v.left.values, v.right.values))
@@ -109,7 +119,8 @@ def test_strategies_agree_on_long_strings(benchmark):
 
 
 # ----------------------------------------------------------------------
-# The BENCH_simjoin.json trajectory: noisy HOSP slice, every strategy
+# The BENCH_simjoin.json trajectory: noisy HOSP slice, both strategies
+# and the oracle's full scan
 # ----------------------------------------------------------------------
 def _noisy_hosp_workload():
     clean = generate_hosp(HOSP_SLICE_N, rng=7)
@@ -120,34 +131,45 @@ def _noisy_hosp_workload():
     return relation, weights, thresholds, patterns
 
 
+#: per-strategy counters summed over the FDs of one detection pass
+JOIN_COUNTERS = (
+    "possible_pairs",
+    "candidates_generated",
+    "pairs_examined",
+    "pairs_filtered",
+    "pairs_verified",
+    "kernel_calls",
+    "index_builds",
+    "index_reuses",
+    "distinct_pairs_examined",
+    "tuple_fanout",
+    "vector_filter_passes",
+)
+#: the naive oracle's counters (it has no candidates, index or vectors)
+ORACLE_COUNTERS = (
+    "possible_pairs",
+    "pairs_examined",
+    "pairs_filtered",
+    "pairs_verified",
+    "kernel_calls",
+)
+
+
 def test_hosp_slice_trajectory(benchmark):
     relation, weights, thresholds, patterns = _noisy_hosp_workload()
 
-    def detect_all_fds(strategy):
+    def detect_all_fds(strategy, counter_keys):
         """One full-FD detection pass; fresh model, shared registry."""
         # fresh model per run: the distance cache must not leak between
         # runs or later ones get a free ride
         model = DistanceModel(relation, weights=weights)
         registry = AttributeIndexRegistry()  # shared across the FDs
-        counters = {
-            "possible_pairs": 0,
-            "candidates_generated": 0,
-            "pairs_examined": 0,
-            "pairs_filtered": 0,
-            "pairs_verified": 0,
-            "kernel_calls": 0,
-            "index_builds": 0,
-            "index_reuses": 0,
-            "distinct_pairs_examined": 0,
-            "tuple_fanout": 0,
-            "vector_filter_passes": 0,
-        }
+        counters = dict.fromkeys(counter_keys, 0)
         out = []
         start = time.perf_counter()
         for fd in HOSP_FDS:
-            join = SimilarityJoin(
-                fd, model, thresholds[fd], strategy=strategy,
-                registry=registry,
+            join = _make_join(
+                fd, model, thresholds[fd], strategy, registry=registry
             )
             out.append(
                 [
@@ -164,37 +186,23 @@ def test_hosp_slice_trajectory(benchmark):
         runs = {}
         violations = {}
         for strategy in STRATEGIES:
-            runs[strategy], violations[strategy] = detect_all_fds(strategy)
-        # kernel sweep: the indexed strategy under every kernel must
-        # produce the identical violation list
-        kernels = {}
-        kernel_violations = {}
-        for kernel in KERNELS:
-            with use_kernel(kernel):
-                counters, out = detect_all_fds("indexed")
-            kernels[kernel] = {
-                "seconds": counters["seconds"],
-                "kernel_calls": counters["kernel_calls"],
-            }
-            kernel_violations[kernel] = out
-        return runs, violations, kernels, kernel_violations
+            runs[strategy], violations[strategy] = detect_all_fds(
+                strategy, JOIN_COUNTERS
+            )
+        oracle, reference = detect_all_fds("naive", ORACLE_COUNTERS)
+        return runs, violations, oracle, reference
 
-    runs, violations, kernels, kernel_violations = benchmark.pedantic(
+    runs, violations, oracle, reference = benchmark.pedantic(
         run_all, rounds=1, iterations=1
     )
 
-    # every strategy returns the identical violation list, distances and
-    # order included — and so does every kernel
-    reference = violations["naive"]
-    for strategy in STRATEGIES[1:]:
+    # every strategy returns the oracle's violation list, distances and
+    # order included
+    for strategy in STRATEGIES:
         assert violations[strategy] == reference, strategy
-    for kernel, out in kernel_violations.items():
-        assert out == reference, kernel
 
-    # the blocker must not examine more pairs than the filtered scan
-    assert (
-        runs["indexed"]["pairs_examined"] <= runs["filtered"]["pairs_examined"]
-    )
+    # the blocker must not examine more pairs than the full scan
+    assert runs["indexed"]["pairs_examined"] <= oracle["pairs_examined"]
     # the shared registry must actually reuse its per-attribute indexes
     assert runs["indexed"]["index_reuses"] > 0
     # distinct-id granularity pays: the vectorized strategy settles far
@@ -209,13 +217,12 @@ def test_hosp_slice_trajectory(benchmark):
         "scale": SCALE,
         "n_tuples": HOSP_SLICE_N,
         "n_fds": len(HOSP_FDS),
-        "kernel": "myers",
-        "possible_pairs": runs["naive"]["possible_pairs"],
+        "possible_pairs": oracle["possible_pairs"],
         "strategies": runs,
-        "kernels": kernels,
+        "oracle_scan": oracle,
         "indexed_verified_fraction": round(
             runs["indexed"]["pairs_verified"]
-            / max(1, runs["naive"]["possible_pairs"]),
+            / max(1, oracle["possible_pairs"]),
             4,
         ),
     }

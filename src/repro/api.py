@@ -1,10 +1,9 @@
 """The stable public API of the repro library, in one import.
 
-``repro.api`` is the supported surface for downstream code: everything
-re-exported here follows the deprecation policy (one minor release of
-``DeprecationWarning`` before removal, messages tagged with the release
-that deprecated them — see :mod:`repro._compat`). Internals reached by
-deep imports (``repro.core.single.mis`` etc.) carry no such guarantee.
+``repro.api`` is the supported surface for downstream code: names
+re-exported here change only in a major release (``docs/api.md`` lists
+the 2.0 removals). Internals reached by deep imports
+(``repro.core.single.mis`` etc.) carry no such guarantee.
 
 Typical use::
 
@@ -26,19 +25,14 @@ config field          CLI flag                 meaning
 ``thresholds``        ``--tau``                similarity threshold(s)
 ``weights``           ``--lhs-weight``         projection-distance weights
 ``join_strategy``     ``--join-strategy``      detection strategy
-                      (``--simjoin-strategy``  (pre-1.2 alias, both sides)
-                      / ``simjoin_strategy=``)
-``kernel``            ``--kernel``             Levenshtein kernel
 ``n_jobs``            ``--n-jobs``             executor worker processes
 ``component_budget``  ``--component-budget``   exact-search degradation budget
 ``trace``             ``--trace``              observability recording
 ====================  =======================  =================================
 
-``RepairConfig(simjoin_strategy=...)`` and ``--simjoin-strategy`` remain
-accepted aliases of ``join_strategy`` / ``--join-strategy``; the
-``join_strategy`` spelling is the documented one. All strategies —
-including the numpy-batched ``"vectorized"`` one — emit identical
-violations; they differ only in how many candidate pairs they examine.
+Both strategies — ``"indexed"`` and the numpy-batched ``"vectorized"``
+— emit identical violations; they differ only in how many candidate
+pairs they examine.
 
 Serving
 -------
@@ -54,13 +48,12 @@ Dataset substrate
 :class:`Relation` is columnar and dictionary-encoded (one
 :class:`ValueDictionary` per attribute, rows as interned value ids —
 ``docs/dataset.md``). The typed accessors (``column``, ``value_id``,
-``decode``, ``dictionary``) are part of this API; the pre-1.2 row-dict
-accessors (``record``, ``from_dicts``) are deprecated since 1.2.
+``decode``, ``dictionary``) are part of this API, as are the row-dict
+converters ``as_record`` and ``from_records``.
 """
 
 from __future__ import annotations
 
-from repro._compat import CURRENT_RELEASE, NEXT_RELEASE, deprecated
 from repro.core import (
     ALGORITHMS,
     CFD,
@@ -152,8 +145,4 @@ __all__ = [
     "IndexedRepairer",
     "ModelCache",
     "ServiceOverloadedError",
-    # deprecation policy helpers
-    "deprecated",
-    "CURRENT_RELEASE",
-    "NEXT_RELEASE",
 ]

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.constraints import FD
 from repro.core.engine import ALGORITHMS, Repairer
-from repro.core.distances import KERNELS, Weights
+from repro.core.distances import Weights
 from repro.dataset.csvio import read_csv, write_csv
 from repro.exec import RepairConfig
 from repro.index.simjoin import STRATEGIES
@@ -94,24 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--join-strategy",
-        "--simjoin-strategy",  # pre-1.2 spelling, kept as an alias
-        dest="join_strategy",
         choices=list(STRATEGIES),
         default="indexed",
         help=(
             "FT-violation detection strategy; sets "
             "RepairConfig.join_strategy (default: indexed — "
-            "sub-quadratic candidate generation; all strategies return "
+            "sub-quadratic candidate generation; both strategies return "
             "identical violations)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="myers",
-        help=(
-            "Levenshtein kernel; sets RepairConfig.kernel (default: "
-            "myers — bit-parallel; all kernels return identical repairs)"
         ),
     )
     parser.add_argument(
@@ -395,7 +384,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ),
             thresholds=args.tau,
             join_strategy=args.join_strategy,
-            kernel=args.kernel,
             fallback="greedy",
             n_jobs=args.n_jobs,
             component_budget=args.component_budget,

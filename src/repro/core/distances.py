@@ -24,13 +24,11 @@ many times during graph construction and repair search).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     MutableMapping,
     Optional,
@@ -42,42 +40,6 @@ from typing import (
 from repro.dataset.relation import NUMERIC, Relation, Schema
 
 DistanceFn = Callable[[Any, Any], float]
-
-#: the selectable Levenshtein kernels, fastest first
-KERNELS = ("myers", "banded", "two_row")
-
-#: the kernel :func:`levenshtein` dispatches to (see :func:`use_kernel`)
-_DEFAULT_KERNEL = "myers"
-
-
-def default_kernel() -> str:
-    """The kernel name :func:`levenshtein` currently dispatches to."""
-    return _DEFAULT_KERNEL
-
-
-def set_default_kernel(name: str) -> None:
-    """Select the Levenshtein kernel globally (``myers`` is the default).
-
-    All kernels are exact under the same early-abort contract, so the
-    choice affects wall clock only — repairs and violation sets are
-    byte-identical for every kernel (asserted by the differential suite
-    in ``tests/test_kernels.py`` and the HOSP-slice bench).
-    """
-    global _DEFAULT_KERNEL
-    if name not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; expected one of {KERNELS}")
-    _DEFAULT_KERNEL = name
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[None]:
-    """Temporarily switch the default kernel (differential benches)."""
-    previous = _DEFAULT_KERNEL
-    set_default_kernel(name)
-    try:
-        yield
-    finally:
-        set_default_kernel(previous)
 
 
 # ----------------------------------------------------------------------
@@ -92,11 +54,11 @@ def levenshtein(a: str, b: str, upper_bound: Optional[int] = None) -> int:
     This is the workhorse of FT-violation detection, where only pairs
     below a threshold matter.
 
-    Dispatches to the kernel selected by :func:`set_default_kernel` /
-    :func:`use_kernel`: Myers' bit-parallel scan by default
-    (:func:`levenshtein_myers`), the banded DP for bounded calls under
-    the ``banded`` kernel, or the classic two-row DP. All kernels
-    return identical values within the bound.
+    Myers' bit-parallel scan (pairwise convenience form of
+    :class:`PreparedKernel`): the shorter string becomes the pattern so
+    the bitvectors stay narrow. For one-vs-many workloads prefer
+    :meth:`DistanceKernel.prepare`, which amortizes the PEQ table over
+    all comparisons.
 
     >>> levenshtein("Boston", "Boton")
     1
@@ -105,12 +67,9 @@ def levenshtein(a: str, b: str, upper_bound: Optional[int] = None) -> int:
     >>> levenshtein("abcdef", "uvwxyz", upper_bound=2)
     3
     """
-    kernel = _DEFAULT_KERNEL
-    if kernel == "myers":
-        return levenshtein_myers(a, b, upper_bound)
-    if kernel == "banded" and upper_bound is not None:
-        return levenshtein_banded(a, b, upper_bound)
-    return levenshtein_two_row(a, b, upper_bound)
+    if len(a) > len(b):
+        a, b = b, a
+    return PreparedKernel(a).compare(b, upper_bound)
 
 
 class PreparedKernel:
@@ -125,7 +84,7 @@ class PreparedKernel:
     Python ints serve as arbitrary-width bitvectors, so patterns longer
     than a machine word need no explicit multi-word loop: the column
     update runs in O(⌈m/w⌉) big-int word operations per text character
-    (Myers, JACM 1999), against the O(m) inner loop of the DP kernels.
+    (Myers, JACM 1999), against the O(m) inner loop of a dynamic program.
     """
 
     __slots__ = ("text", "length", "_peq", "_full", "_last")
@@ -234,139 +193,12 @@ class DistanceKernel:
     ``DistanceKernel.prepare(left)`` returns a :class:`PreparedKernel`
     whose ``compare(right, upper_bound=None)`` reuses the PEQ bitmask
     table across every right-hand candidate. Pairwise convenience:
-    :func:`levenshtein_myers`.
+    :func:`levenshtein`.
     """
 
     @staticmethod
     def prepare(left: str) -> PreparedKernel:
         return PreparedKernel(left)
-
-
-def levenshtein_myers(a: str, b: str, upper_bound: Optional[int] = None) -> int:
-    """Myers' bit-parallel edit distance (pairwise convenience form).
-
-    Same early-abort contract as :func:`levenshtein`. The shorter string
-    becomes the pattern so the bitvectors stay narrow. For one-vs-many
-    workloads prefer :meth:`DistanceKernel.prepare`, which amortizes the
-    PEQ table over all comparisons.
-
-    >>> levenshtein_myers("kitten", "sitting")
-    3
-    >>> levenshtein_myers("abcdef", "uvwxyz", upper_bound=2)
-    3
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    return PreparedKernel(a).compare(b, upper_bound)
-
-
-def levenshtein_two_row(a: str, b: str, upper_bound: Optional[int] = None) -> int:
-    """The classic O(len_a * len_b) two-row dynamic program.
-
-    Same early-abort contract as :func:`levenshtein`: exact whenever the
-    result is ``<= upper_bound``, some value ``> upper_bound`` otherwise.
-    Kept callable directly so the bit-parallel and banded kernels can be
-    benchmarked and differentially tested against it.
-    """
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    if la > lb:  # keep the inner loop over the shorter string
-        a, b, la, lb = b, a, lb, la
-    if upper_bound is not None:
-        # Bound checks come before the empty-string returns so the
-        # degenerate corners (empty vs long, negative bounds) honor the
-        # "exact iff result <= upper_bound" contract like every kernel.
-        if upper_bound < 0:
-            return 1  # distinct strings differ by at least one edit
-        if lb - la > upper_bound:
-            return upper_bound + 1
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-
-    previous = list(range(la + 1))
-    current = [0] * (la + 1)
-    for j in range(1, lb + 1):
-        current[0] = j
-        bj = b[j - 1]
-        row_min = current[0]
-        for i in range(1, la + 1):
-            cost = 0 if a[i - 1] == bj else 1
-            value = min(
-                previous[i] + 1,  # delete from b
-                current[i - 1] + 1,  # insert into b
-                previous[i - 1] + cost,  # substitute
-            )
-            current[i] = value
-            if value < row_min:
-                row_min = value
-        if upper_bound is not None and row_min > upper_bound:
-            return upper_bound + 1
-        previous, current = current, previous
-    return previous[la]
-
-
-def levenshtein_banded(a: str, b: str, max_edits: int) -> int:
-    """Ukkonen banded edit distance: O(max_edits * min(len_a, len_b)).
-
-    Only the diagonal band ``|i - j| <= max_edits`` of the DP matrix is
-    materialized. Any alignment of cost ``<= max_edits`` stays inside
-    that band (each cell value is at least ``|i - j|``), so the result
-    is **exact whenever it is <= max_edits** and ``max_edits + 1``
-    otherwise — the same early-abort contract as :func:`levenshtein`.
-
-    >>> levenshtein_banded("kitten", "sitting", 5)
-    3
-    >>> levenshtein_banded("abcdef", "uvwxyz", 2)
-    3
-    """
-    if a == b:
-        return 0
-    if max_edits < 0:
-        return 1  # distinct strings differ by at least one edit
-    la, lb = len(a), len(b)
-    if la > lb:  # band over the shorter string's axis
-        a, b, la, lb = b, a, lb, la
-    if lb - la > max_edits:
-        return max_edits + 1
-    if la == 0:
-        return lb  # lb <= max_edits here
-    overflow = max_edits + 1
-    # previous holds row j-1 for i in [plo, plo + len(previous) - 1]
-    plo, previous = 0, list(range(min(la, max_edits) + 1))
-    for j in range(1, lb + 1):
-        lo = j - max_edits if j > max_edits else 0
-        hi = min(la, j + max_edits)
-        bj = b[j - 1]
-        current: list = []
-        row_min = overflow
-        phi = plo + len(previous) - 1
-        for i in range(lo, hi + 1):
-            if i == 0:
-                value = j  # lo == 0 implies j <= max_edits
-            else:
-                cost = 0 if a[i - 1] == bj else 1
-                value = previous[i - 1 - plo] + cost if plo <= i - 1 <= phi else overflow
-                if plo <= i <= phi:  # deletion (vertical move)
-                    up = previous[i - plo] + 1
-                    if up < value:
-                        value = up
-                if i - 1 >= lo:  # insertion (horizontal move)
-                    left = current[i - 1 - lo] + 1
-                    if left < value:
-                        value = left
-                if value > overflow:
-                    value = overflow
-            current.append(value)
-            if value < row_min:
-                row_min = value
-        if row_min > max_edits:
-            return overflow
-        plo, previous = lo, current
-    result = previous[la - plo]
-    return result if result <= max_edits else overflow
 
 
 def normalized_edit_distance(a: str, b: str) -> float:
@@ -558,19 +390,16 @@ class DistanceModel:
         return prepared
 
     def _string_distance(self, a: str, b: str) -> float:
-        """Normalized edit distance through the active kernel."""
+        """Normalized edit distance through the interned Myers kernel."""
         if a == b:
             return 0.0
         longest = max(len(a), len(b))
         if longest == 0:
             return 0.0
         self.kernel_calls += 1
-        if _DEFAULT_KERNEL == "myers":
-            if len(a) > len(b):
-                a, b = b, a
-            edits = self._prepared_kernel(a).compare(b)
-        else:
-            edits = levenshtein(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        edits = self._prepared_kernel(a).compare(b)
         return edits / longest
 
     def attribute_distance(self, attribute: str, v1: Any, v2: Any) -> float:
@@ -613,10 +442,10 @@ class DistanceModel:
         is returned it is the **exact** :meth:`attribute_distance` value
         (bit-identical — callers re-apply their own threshold
         arithmetic); ``None`` is returned only when the distance provably
-        exceeds *limit*. Plain string attributes use the banded
-        Levenshtein kernel with one edit of slack over
-        ``limit * max(len)``, so the kernel band never decides a
-        float-boundary case — the caller's comparison does.
+        exceeds *limit*. Plain string attributes run the bounded Myers
+        kernel with one edit of slack over ``limit * max(len)``, so the
+        kernel bound never decides a float-boundary case — the caller's
+        comparison does.
         """
         if v1 == v2:
             return 0.0
@@ -631,7 +460,7 @@ class DistanceModel:
                 self.cache_hits += 1
                 return hit
         if attribute in self._overrides or attribute in self._spreads:
-            # cheap to evaluate exactly; no banded shortcut applies
+            # cheap to evaluate exactly; no bounded shortcut applies
             return self.attribute_distance(attribute, v1, v2)
         a, b = str(v1), str(v2)
         longest = max(len(a), len(b))
@@ -641,10 +470,7 @@ class DistanceModel:
             self.cache_misses += 1
         budget = int(limit * longest) + 1
         self.kernel_calls += 1
-        if _DEFAULT_KERNEL == "myers":
-            edits = self._prepared_kernel(a).compare(b, budget)
-        else:
-            edits = levenshtein(a, b, upper_bound=budget)
+        edits = self._prepared_kernel(a).compare(b, budget)
         if edits > budget:
             return None  # > limit by at least (1 - frac)/longest
         value = edits / longest
@@ -688,10 +514,7 @@ class DistanceModel:
                     result = 0.0
                 else:
                     self.kernel_calls += 1
-                    if _DEFAULT_KERNEL == "myers":
-                        edits = self._prepared_kernel(left).compare(b)
-                    else:
-                        edits = levenshtein(left, b)
+                    edits = self._prepared_kernel(left).compare(b)
                     result = edits / longest
             if self._cache is not None:
                 self._cache[key] = result
@@ -737,10 +560,7 @@ class DistanceModel:
                 self.cache_misses += 1
             budget = int(limit * longest) + 1
             self.kernel_calls += 1
-            if _DEFAULT_KERNEL == "myers":
-                edits = self._prepared_kernel(left).compare(b, budget)
-            else:
-                edits = levenshtein(left, b, upper_bound=budget)
+            edits = self._prepared_kernel(left).compare(b, budget)
             if edits > budget:
                 return None  # > limit by at least (1 - frac)/longest
             result = edits / longest

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro._compat import deprecated
 from repro.core.constraints import FD, validate_constraints
 from repro.core.distances import DistanceModel, Weights
 from repro.core.repair import RepairResult, squash_edits
@@ -83,21 +82,6 @@ ALGORITHMS: Dict[str, Dict[str, str]] = {
 
 ThresholdsLike = Union[None, float, Mapping[FD, float]]
 
-#: the pre-RepairConfig positional parameter order, oldest API first
-_LEGACY_POSITIONAL: Tuple[str, ...] = (
-    "algorithm",
-    "weights",
-    "thresholds",
-    "use_tree",
-    "join_strategy",
-    "fallback",
-    "max_nodes",
-    "max_combinations",
-    "distance_overrides",
-    "threshold_ceiling",
-    "rng",
-)
-
 # Kept under its historic name for callers of the private helper.
 _squash_edits = squash_edits
 
@@ -111,10 +95,6 @@ class Repairer:
         Repairer(fds, config=RepairConfig(algorithm="exact-m"))
         Repairer(fds, algorithm="exact-m", n_jobs=4)
         Repairer(fds, config=base_config, thresholds=0.4)   # override one field
-
-    Positional arguments beyond *fds* follow the pre-1.1 signature and
-    still work, but emit a :class:`DeprecationWarning` (as does the old
-    ``rng=`` spelling of ``seed``).
 
     Parameters
     ----------
@@ -143,9 +123,7 @@ class Repairer:
         planner, ``docs/detection.md``), ``"vectorized"`` (the same
         filters batched through numpy at distinct-dictionary-id
         granularity; falls back to ``"indexed"`` when numpy is
-        missing), ``"filtered"``, ``"qgram"`` or ``"naive"``. Every
-        strategy returns identical violations. ``simjoin_strategy=`` is
-        accepted as a synonym.
+        missing). Both strategies return identical violations.
     fallback:
         For exact algorithms only: ``"error"`` propagates budget
         overruns, ``"greedy"`` degrades to the corresponding greedy
@@ -166,53 +144,18 @@ class Repairer:
         is pre-emptively degraded to its greedy counterpart on any
         component larger than this (``None`` = never).
     seed:
-        Seed for threshold sampling (previously ``rng``).
+        Seed for threshold sampling.
     """
 
     def __init__(
         self,
         fds: Sequence[FD],
-        *legacy_args: object,
+        *,
         config: Optional[RepairConfig] = None,
         **overrides: object,
     ) -> None:
         if not fds:
             raise ValueError("at least one FD is required")
-        if legacy_args:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=RepairConfig(...) or positional "
-                    "arguments, not both"
-                )
-            if len(legacy_args) > len(_LEGACY_POSITIONAL):
-                raise TypeError(
-                    f"Repairer takes at most {len(_LEGACY_POSITIONAL)} "
-                    f"positional arguments beyond fds "
-                    f"({len(legacy_args)} given)"
-                )
-            deprecated(
-                "positional Repairer arguments beyond `fds` are deprecated; "
-                "pass config=RepairConfig(...) or keyword overrides "
-                "(e.g. Repairer(fds, algorithm='exact-m'))",
-                since="1.1",
-            )
-            for name, value in zip(_LEGACY_POSITIONAL, legacy_args):
-                if name in overrides:
-                    raise TypeError(
-                        f"Repairer got multiple values for argument {name!r}"
-                    )
-                overrides[name] = value
-        if "rng" in overrides:
-            if "seed" in overrides:
-                raise TypeError(
-                    "pass seed=... (rng= is its deprecated alias), not both"
-                )
-            if not legacy_args:  # positional use already warned once
-                deprecated(
-                    "Repairer(rng=...) is deprecated; use seed=...",
-                    since="1.1",
-                )
-            overrides["seed"] = overrides.pop("rng")
         base = config if config is not None else RepairConfig()
         self.config: RepairConfig = base.merged(**overrides)
         self.fds: List[FD] = list(fds)
@@ -233,11 +176,6 @@ class Repairer:
 
     @property
     def join_strategy(self) -> str:
-        return self.config.join_strategy
-
-    @property
-    def simjoin_strategy(self) -> str:
-        """Alias of :attr:`join_strategy` (the CLI flag spelling)."""
         return self.config.join_strategy
 
     @property
@@ -275,10 +213,6 @@ class Repairer:
     @property
     def _threshold_ceiling(self) -> object:
         return self.config.threshold_ceiling
-
-    @property
-    def _rng(self) -> SeedLike:
-        return self.config.seed
 
     # ------------------------------------------------------------------
     def build_model(self, relation: Relation) -> DistanceModel:

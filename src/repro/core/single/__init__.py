@@ -5,7 +5,6 @@ from repro.core.single.greedy import greedy_independent_set, repair_single_fd_gr
 from repro.core.single.mis import (
     ExpansionLimitError,
     ExpansionStats,
-    brute_force_maximal_independent_sets,
     enumerate_maximal_independent_sets,
 )
 
@@ -14,7 +13,6 @@ __all__ = [
     "repair_single_fd_greedy",
     "greedy_independent_set",
     "enumerate_maximal_independent_sets",
-    "brute_force_maximal_independent_sets",
     "ExpansionLimitError",
     "ExpansionStats",
 ]

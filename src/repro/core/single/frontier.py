@@ -548,8 +548,9 @@ class SearchKernel:
     def mask_assignment_cost(self, member_mask: int) -> float:
         """Grouped repair cost of fixing every outside vertex with the set.
 
-        The bitset port of the reference ``_assignment_cost`` — same
-        floats, same accumulation order (dense / ascending).
+        Each outside vertex pays its multiplicity times the cheapest
+        repair into a neighbouring member (any member when none
+        neighbours it), accumulated in dense / ascending order.
         """
         cost_rows = self.cost_rows
         assert cost_rows is not None, "kernel built without cost rows"

@@ -42,11 +42,9 @@ tasks (:mod:`repro.core.single.subtree`, ``docs/parallelism.md``):
 Every decision the serial engine takes — emission order, duplicate
 merging, pruning, the node count that trips
 :class:`ExpansionLimitError` — is bit-for-bit identical to the set-based
-reference implementation, which is kept as
-:func:`enumerate_maximal_independent_sets_setbased` and cross-checked by
-the Hypothesis differential suite (``tests/test_search_bitset.py``), the
-same oracle discipline the ``two_row``/``banded`` distance kernels
-follow. When a subtree dispatcher is installed, the split exploration
+reference implementation in ``tests/oracles/mis.py``, cross-checked by
+the Hypothesis differential suite (``tests/test_search_bitset.py``).
+When a subtree dispatcher is installed, the split exploration
 reproduces the same *output* (the enumerate-mode merge is exact; the
 best-mode winner is bound-independent) while counters reflect the extra
 duplicated exploration across chunks.
@@ -54,15 +52,13 @@ duplicated exploration across chunks.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.graph import ViolationGraph, mask_bits
 from repro.core.single.frontier import (
     ExpansionLimitError,
     ExpansionStats,
     SearchKernel,
-    better_candidate,
-    min_outgoing_costs,
     select_best_mask,
 )
 from repro.core.single.subtree import (
@@ -78,47 +74,8 @@ __all__ = [
     "ExpansionLimitError",
     "ExpansionStats",
     "enumerate_maximal_independent_sets",
-    "enumerate_maximal_independent_sets_setbased",
     "best_maximal_independent_set",
-    "brute_force_maximal_independent_sets",
 ]
-
-
-def _min_outgoing_cost(
-    graph: ViolationGraph, vertices: Sequence[int]
-) -> Dict[int, float]:
-    """Back-compat alias of :func:`~repro.core.single.frontier.min_outgoing_costs`."""
-    return min_outgoing_costs(graph, vertices)
-
-
-def _lower_bound(
-    prefix: Sequence[int],
-    independent: FrozenSet[int],
-    min_out: Dict[int, float],
-) -> float:
-    """Eq. (5): vertices already excluded must pay their cheapest repair."""
-    return sum(min_out[v] for v in prefix if v not in independent)
-
-
-def _upper_bound(
-    graph: ViolationGraph,
-    vertices: Sequence[int],
-    independent: FrozenSet[int],
-) -> float:
-    """Eq. (6): repair *every* outside vertex into the set right now.
-
-    This is the cost of a concrete feasible repair, hence an upper bound
-    on the optimum reachable from any superset of ``independent``.
-    """
-    total = 0.0
-    members = list(independent)
-    for v in vertices:
-        if v in independent:
-            continue
-        total += graph.multiplicity(v) * min(
-            graph.pair_cost(v, u) for u in members
-        )
-    return total
 
 
 def _advance_to_split(
@@ -144,35 +101,20 @@ def _advance_to_split(
             return False
 
 
-def enumerate_maximal_independent_sets(
+def _expand(
     graph: ViolationGraph,
-    vertices: Optional[Sequence[int]] = None,
-    prune: bool = False,
-    max_nodes: Optional[int] = None,
-    stats: Optional[ExpansionStats] = None,
-) -> List[FrozenSet[int]]:
-    """All maximal independent sets of the induced subgraph on *vertices*.
+    order: List[int],
+    prune: bool,
+    max_nodes: Optional[int],
+    stats: ExpansionStats,
+    with_costs: bool,
+) -> Tuple[SearchKernel, List[int]]:
+    """Run the expansion over non-empty *order*; the kernel and masks.
 
-    With ``prune=True`` the enumeration keeps only sets that can still
-    lead to the minimum-cost repair (sound for the optimization, not for
-    exhaustive enumeration). *max_nodes* bounds the total number of tree
-    nodes; exceeding it raises :class:`ExpansionLimitError` so callers
-    can fall back to the greedy algorithm.
-
-    This is the bitset engine (module docstring); results, statistics,
-    and the budget-trip point are identical to
-    :func:`enumerate_maximal_independent_sets_setbased`. When a subtree
-    dispatcher is installed (``repro.core.single.subtree``) and the
-    component crosses its threshold, the un-pruned enumeration is split
-    into subtree tasks whose merged output is the same list in the same
-    order (pruned enumerations never split here — only the winner search
-    in :func:`best_maximal_independent_set` does).
+    The final frontier comes back as prefix-masks over ``order`` (bit
+    ``i`` = ``order[i]``), together with the kernel that produced them,
+    so the winner scan can reuse both.
     """
-    order = list(vertices) if vertices is not None else list(range(len(graph)))
-    if stats is None:
-        stats = ExpansionStats()
-    if not order:
-        return []
     dispatcher = current_dispatcher()
     split_wanted = (
         dispatcher is not None
@@ -182,8 +124,9 @@ def enumerate_maximal_independent_sets(
     with span(
         "mis/expand", fd=graph.fd.name, vertices=len(order), prune=prune
     ) as expand_span:
-        masks = graph.subgraph_masks(order)
-        kernel = SearchKernel.for_graph(graph, order, prune=prune)
+        kernel = SearchKernel.for_graph(
+            graph, order, prune=prune, with_costs=with_costs
+        )
         state = kernel.seed(stats)
         final_masks: Optional[List[int]] = None
         if split_wanted:
@@ -205,120 +148,41 @@ def enumerate_maximal_independent_sets(
             final_masks = state.masks
         stats.sets_enumerated = len(final_masks)
         expand_span.set(**stats.as_dict())
-    order_tuple = masks.order
-    return [
-        frozenset(order_tuple[i] for i in mask_bits(mask))
-        for mask in final_masks
-    ]
+    return kernel, final_masks
 
 
-def enumerate_maximal_independent_sets_setbased(
+def enumerate_maximal_independent_sets(
     graph: ViolationGraph,
     vertices: Optional[Sequence[int]] = None,
     prune: bool = False,
     max_nodes: Optional[int] = None,
     stats: Optional[ExpansionStats] = None,
 ) -> List[FrozenSet[int]]:
-    """Reference set-based expansion (differential-test oracle).
+    """All maximal independent sets of the induced subgraph on *vertices*.
 
-    The pre-bitset implementation, kept verbatim (modulo the richer
-    :class:`ExpansionLimitError`) so the Hypothesis suite can assert the
-    production engine reproduces its results, emission order, node
-    accounting, and budget-trip point exactly.
+    With ``prune=True`` the enumeration keeps only sets that can still
+    lead to the minimum-cost repair (sound for the optimization, not for
+    exhaustive enumeration). *max_nodes* bounds the total number of tree
+    nodes; exceeding it raises :class:`ExpansionLimitError` so callers
+    can fall back to the greedy algorithm.
+
+    This is the bitset engine (module docstring); results, statistics,
+    and the budget-trip point are identical to the set-based reference.
+    When a subtree dispatcher is installed (``repro.core.single.subtree``)
+    and the component crosses its threshold, the un-pruned enumeration is
+    split into subtree tasks whose merged output is the same list in the
+    same order (pruned enumerations never split here — only the winner
+    search in :func:`best_maximal_independent_set` does).
     """
     order = list(vertices) if vertices is not None else list(range(len(graph)))
     if stats is None:
         stats = ExpansionStats()
     if not order:
         return []
-    min_out = _min_outgoing_cost(graph, order) if prune else {}
-
-    current: List[FrozenSet[int]] = [frozenset({order[0]})]
-    stats.nodes_generated += 1
-    best_upper = float("inf")
-
-    for level in range(1, len(order)):
-        stats.levels = level
-        vertex = order[level]
-        # Vertices decided so far (D_i of Eq. 5). `vertex` itself is NOT
-        # part of the bound's prefix: it may still join the set at zero
-        # cost, so charging its min-out repair would overestimate the
-        # bound and prune optimal branches.
-        decided = order[:level]
-        prefix = order[: level + 1]
-        if prune:
-            for node in current:
-                best_upper = min(best_upper, _upper_bound(graph, order, node))
-        next_level: Dict[FrozenSet[int], None] = {}
-
-        def emit(candidate: FrozenSet[int]) -> None:
-            if candidate in next_level:
-                stats.duplicates_removed += 1
-                return
-            next_level[candidate] = None
-            stats.nodes_generated += 1
-            if max_nodes is not None and stats.nodes_generated > max_nodes:
-                raise ExpansionLimitError(
-                    max_nodes, stats.nodes_generated, level
-                )
-
-        for node in current:
-            if prune and _lower_bound(decided, node, min_out) > best_upper:
-                stats.nodes_pruned += 1
-                continue
-            adjacency = graph.neighbors(vertex)
-            if not any(member in adjacency for member in node):
-                emit(node | {vertex})
-            else:
-                emit(node)  # still maximal in the larger prefix
-                candidate = graph.consistent_subset(vertex, node) | {vertex}
-                if _is_maximal_in_prefix(graph, candidate, prefix):
-                    emit(frozenset(candidate))
-                else:
-                    stats.non_maximal_discarded += 1
-        current = list(next_level)
-    stats.sets_enumerated = len(current)
-    return current
-
-
-def _is_maximal_in_prefix(
-    graph: ViolationGraph, candidate: Set[int], prefix: Sequence[int]
-) -> bool:
-    """Maximality of *candidate* within the induced prefix subgraph."""
-    for v in prefix:
-        if v in candidate:
-            continue
-        adjacency = graph.neighbors(v)
-        if not any(member in adjacency for member in candidate):
-            return False
-    return True
-
-
-def brute_force_maximal_independent_sets(
-    graph: ViolationGraph, vertices: Optional[Sequence[int]] = None
-) -> List[FrozenSet[int]]:
-    """Reference enumerator by subset expansion (test oracle only).
-
-    Exponential in the vertex count; used to cross-check the expansion
-    algorithm on small graphs.
-    """
-    order = list(vertices) if vertices is not None else list(range(len(graph)))
-    results: Set[FrozenSet[int]] = set()
-
-    def extend(candidate: Set[int], remaining: List[int]) -> None:
-        if not remaining:
-            if _is_maximal_in_prefix(graph, candidate, order):
-                results.add(frozenset(candidate))
-            return
-        vertex, rest = remaining[0], remaining[1:]
-        adjacency = graph.neighbors(vertex)
-        if not any(member in adjacency for member in candidate):
-            extend(candidate | {vertex}, rest)
-        extend(candidate, rest)
-
-    if order:
-        extend(set(), order)
-    return sorted(results, key=lambda s: sorted(s))
+    _, final_masks = _expand(
+        graph, order, prune, max_nodes, stats, with_costs=False
+    )
+    return [frozenset(order[i] for i in mask_bits(mask)) for mask in final_masks]
 
 
 def _best_via_split(
@@ -392,40 +256,13 @@ def best_maximal_independent_set(
         return _best_via_split(
             graph, order, prune, max_nodes, stats, dispatcher
         )
-    candidates = enumerate_maximal_independent_sets(
-        graph, order, prune=prune, max_nodes=max_nodes, stats=stats
-    )
-    if not candidates:
+    if not order:
         raise ValueError("no vertices to enumerate over")
-    kernel = SearchKernel.for_graph(graph, order, prune=prune, with_costs=True)
-    index_of = graph.subgraph_masks(order).index_of
-
-    best: Optional[FrozenSet[int]] = None
-    best_cost = float("inf")
-    best_members: Optional[List[int]] = None
-    for candidate in candidates:
-        member_mask = 0
-        for v in candidate:
-            member_mask |= 1 << index_of[v]
-        cost = kernel.mask_assignment_cost(member_mask)
-        members = sorted(candidate)
-        if better_candidate(cost, members, best_cost, best_members):
-            best, best_cost, best_members = candidate, cost, members
-    assert best is not None
-    return best
-
-
-def _assignment_cost(
-    graph: ViolationGraph, vertices: Sequence[int], independent: FrozenSet[int]
-) -> float:
-    """Grouped repair cost of fixing all of *vertices* with *independent*."""
-    total = 0.0
-    members = list(independent)
-    for v in vertices:
-        if v in independent:
-            continue
-        adjacency = graph.neighbors(v)
-        neighbor_members = [u for u in members if u in adjacency]
-        pool = neighbor_members if neighbor_members else members
-        total += graph.multiplicity(v) * min(graph.pair_cost(v, u) for u in pool)
-    return total
+    # the winner scan reuses the enumeration's kernel and masks: the same
+    # comparator, in frontier order, over the same floats
+    kernel, final_masks = _expand(
+        graph, order, prune, max_nodes, stats, with_costs=True
+    )
+    winner = select_best_mask(kernel, final_masks, order)
+    assert winner is not None
+    return frozenset(order[i] for i in mask_bits(winner[0]))

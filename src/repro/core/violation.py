@@ -154,41 +154,6 @@ def projection_distance_within(
     return total
 
 
-def projection_distance_within_banded(
-    model: DistanceModel,
-    fd: FD,
-    v1: Tuple,
-    v2: Tuple,
-    tau: float,
-) -> Optional[float]:
-    """Eq. (2) distance if ``<= tau``, else ``None`` — banded kernel.
-
-    Semantically identical to :func:`projection_distance_within` (same
-    accepted pairs, bit-identical totals): per-attribute distances come
-    from :meth:`DistanceModel.attribute_distance_within` with the
-    remaining weighted budget, so string attributes run the O(k*n)
-    banded Levenshtein instead of the full dynamic program. Used as the
-    verify step of the ``indexed`` similarity-join strategy.
-    """
-    total = 0.0
-    n_lhs = len(fd.lhs)
-    w_lhs, w_rhs = model.weights.lhs, model.weights.rhs
-    for pos, attr in enumerate(fd.attributes):
-        a, b = v1[pos], v2[pos]
-        if a == b:
-            continue
-        weight = w_lhs if pos < n_lhs else w_rhs
-        if weight <= 0.0:
-            continue  # contributes exactly 0.0, like the reference path
-        dist = model.attribute_distance_within(attr, a, b, (tau - total) / weight)
-        if dist is None:
-            return None
-        total += weight * dist
-        if total > tau:
-            return None
-    return total
-
-
 class PreparedProjection:
     """One-vs-many Eq. (2): fix the left projection, stream the rights.
 
@@ -199,8 +164,7 @@ class PreparedProjection:
     blocker verification and the greedy conflict loops) pays the
     per-value preparation once instead of per pair. Returned distances,
     accepted pairs, and cache/counter traffic are identical to the
-    pairwise :func:`projection_distance_within` /
-    :func:`projection_distance_within_banded`.
+    pairwise :func:`projection_distance_within`.
     """
 
     __slots__ = (
@@ -254,8 +218,16 @@ class PreparedProjection:
                 total += weight * model.attribute_distance(attr, a, b)
         return total
 
-    def distance_within_banded(self, other: Tuple, tau: float) -> Optional[float]:
-        """One-vs-many :func:`projection_distance_within_banded`."""
+    def distance_within_bounded(self, other: Tuple, tau: float) -> Optional[float]:
+        """Eq. (2) distance if ``<= tau``, else ``None`` — bounded kernel.
+
+        Semantically identical to :meth:`distance_within` (same accepted
+        pairs, bit-identical totals): per-attribute distances come from
+        the :meth:`DistanceModel.prepare_within` comparers with the
+        remaining weighted budget, so string attributes run the bounded
+        Myers kernel and abort early. The verify step of the ``indexed``
+        similarity-join strategy.
+        """
         total = 0.0
         values = self.values
         weights = self._weights

@@ -32,9 +32,8 @@ get/set, active domains in first-occurrence order, numeric ranges,
 projection helpers, and value-based equality all behave identically.
 Typed accessors (:meth:`Relation.column`, :meth:`Relation.value_id`,
 :meth:`Relation.decode`, :meth:`Relation.project_ids`) expose the
-encoding; the dict-row accessors (``record``, ``from_dicts``) are
-deprecated in favour of :meth:`Relation.as_record` /
-:meth:`Relation.from_records` and will be removed one release later.
+encoding; :meth:`Relation.as_record` / :meth:`Relation.from_records`
+convert to and from attribute-name-keyed dicts.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-from repro._compat import deprecated
 
 try:  # numpy is optional at runtime; vectorized paths degrade without it
     import numpy as _np
@@ -275,14 +272,6 @@ class Relation:
         names = schema.names
         return cls(schema, ([record[name] for name in names] for record in records))
 
-    @classmethod
-    def from_dicts(
-        cls, schema: Schema, records: Iterable[Mapping[str, Any]]
-    ) -> "Relation":
-        """Deprecated spelling of :meth:`from_records`."""
-        deprecated("Relation.from_dicts() is deprecated; use Relation.from_records()")
-        return cls.from_records(schema, records)
-
     def append(self, row: Sequence[Any]) -> int:
         """Append *row* (schema order) and return its tuple id."""
         if len(row) != len(self.schema):
@@ -385,11 +374,6 @@ class Relation:
     def as_record(self, tid: int) -> Dict[str, Any]:
         """The tuple with id *tid* as an attribute-name-keyed dict."""
         return dict(zip(self.schema.names, self.row(tid)))
-
-    def record(self, tid: int) -> Dict[str, Any]:
-        """Deprecated spelling of :meth:`as_record`."""
-        deprecated("Relation.record() is deprecated; use Relation.as_record()")
-        return self.as_record(tid)
 
     def project(self, tid: int, attributes: Sequence[str]) -> Tuple[Any, ...]:
         """Projection of tuple *tid* on *attributes* (given order)."""

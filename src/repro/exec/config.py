@@ -25,8 +25,7 @@ The execution-layer knobs are new in this layer:
   instrumentation points stay no-ops (see ``docs/observability.md``).
 
 ``join_strategy`` defaults to ``"indexed"`` — the sub-quadratic
-candidate-generation detection path (see ``docs/detection.md``), which
-returns exactly the same violations as the scan strategies.
+candidate-generation detection path (see ``docs/detection.md``).
 ``"vectorized"`` batches the same filters through numpy at
 distinct-dictionary-id granularity (identical violations again) and
 degrades to ``"indexed"`` when numpy is unavailable.
@@ -38,7 +37,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.core.distances import KERNELS, DistanceFn, Weights
+from repro.core.distances import DistanceFn, Weights
 
 #: per-FD tau mapping, one scalar for every FD, or None (derive from data)
 ThresholdsLike = Union[None, float, Mapping[Any, float]]
@@ -60,7 +59,6 @@ class RepairConfig:
     thresholds: ThresholdsLike = None
     use_tree: bool = True
     join_strategy: str = "indexed"
-    kernel: str = "myers"
     fallback: str = "error"
     max_nodes: Optional[int] = 200_000
     max_combinations: int = 1_000_000
@@ -82,8 +80,9 @@ class RepairConfig:
     detectors: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        # Deferred import: the engine imports this module at load time.
+        # Deferred imports: the engine imports this module at load time.
         from repro.core.engine import ALGORITHMS
+        from repro.index.simjoin import STRATEGIES
 
         if self.weights is None:  # legacy callers pass None for "default"
             object.__setattr__(self, "weights", Weights())
@@ -94,10 +93,10 @@ class RepairConfig:
             )
         if self.fallback not in ("error", "greedy"):
             raise ValueError("fallback must be 'error' or 'greedy'")
-        if self.kernel not in KERNELS:
+        if self.join_strategy not in STRATEGIES:
             raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                f"{sorted(KERNELS)}"
+                f"unknown join_strategy {self.join_strategy!r}; expected "
+                f"one of {list(STRATEGIES)}"
             )
         if self.n_jobs == 0 or not isinstance(self.n_jobs, int):
             raise ValueError(
@@ -136,18 +135,9 @@ class RepairConfig:
         Unknown field names raise; ``_UNSET`` sentinels (used by the
         keyword-override path of the Repairer constructor) are skipped,
         so ``cfg.merged(n_jobs=4, algorithm=_UNSET)`` only touches
-        ``n_jobs``. ``simjoin_strategy`` is accepted as a synonym of
-        ``join_strategy`` (the CLI flag spelling) — a plain alias, no
-        deprecation attached.
+        ``n_jobs``.
         """
         changes = {k: v for k, v in overrides.items() if v is not _UNSET}
-        if "simjoin_strategy" in changes:
-            if "join_strategy" in changes:
-                raise TypeError(
-                    "pass join_strategy or its alias simjoin_strategy, "
-                    "not both"
-                )
-            changes["join_strategy"] = changes.pop("simjoin_strategy")
         unknown = [k for k in changes if k not in _field_names()]
         if unknown:
             raise TypeError(f"unknown RepairConfig field(s): {unknown}")

@@ -64,7 +64,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
 from repro.core.detection import DetectionReport, classify_violations
-from repro.core.distances import DistanceModel, use_kernel
+from repro.core.distances import DistanceModel
 from repro.core.multi.appro import repair_multi_fd_appro
 from repro.core.multi.exact import CombinationLimitError, repair_multi_fd_exact
 from repro.core.multi.fdgraph import fd_components
@@ -448,17 +448,14 @@ def _component_outcome(task: ComponentTask) -> ComponentOutcome:
     cpu0 = time.process_time()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with use_kernel(task.config.kernel):
-            with install_flags(
-                unpack_flags(task.flags) if task.flags else None
-            ):
-                result, meta = repair_component(
-                    task.relation,
-                    task.fds,
-                    model,
-                    dict(task.thresholds),
-                    task.config,
-                )
+        with install_flags(unpack_flags(task.flags) if task.flags else None):
+            result, meta = repair_component(
+                task.relation,
+                task.fds,
+                model,
+                dict(task.thresholds),
+                task.config,
+            )
     seconds = time.perf_counter() - start
     # process_time of a coordinated task naturally excludes its subtree
     # chunks' CPU — they burn cycles in worker processes — so per-unit
@@ -513,8 +510,7 @@ def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
     join = SimilarityJoin(
         task.fd, model, task.tau, strategy=task.config.join_strategy
     )
-    with use_kernel(task.config.kernel):
-        violations = join.join(patterns)
+    violations = join.join(patterns)
     cpu_seconds = time.process_time() - cpu0
     return DetectionOutcome(
         index=task.index,

@@ -3,22 +3,19 @@
 from repro.index.blocking import (
     AttributeBlocker,
     BlockPlan,
-    QGramPrefixIndex,
     candidate_pairs,
     plan_blocker,
 )
-from repro.index.qgram import QGramIndex, passes_count_filter, qgram_overlap
+from repro.index.qgram import passes_count_filter, qgram_overlap
 from repro.index.simjoin import STRATEGIES, SimilarityJoin
 
 __all__ = [
-    "QGramIndex",
     "qgram_overlap",
     "passes_count_filter",
     "SimilarityJoin",
     "STRATEGIES",
     "AttributeBlocker",
     "BlockPlan",
-    "QGramPrefixIndex",
     "candidate_pairs",
     "plan_blocker",
 ]

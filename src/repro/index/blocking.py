@@ -27,7 +27,7 @@ per member of ``S``, each run at ratio ``r_i = b_i / w_i``:
   is therefore sound; buckets whose length differs from the query's by
   more than ``k`` are skipped outright (``lev >= |la - lb|``). Probe
   survivors are then settled *exactly* at the value level with the
-  banded Levenshtein kernel — distinct values are far fewer than
+  bounded Myers kernel — distinct values are far fewer than
   patterns, so this is cheap and makes the blocker emit precisely the
   pairs within their edit budget.
 
@@ -49,12 +49,11 @@ an exclusion. The full soundness argument lives in ``docs/detection.md``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
-from repro.core.distances import DistanceModel, levenshtein_banded, qgrams
+from repro.core.distances import DistanceModel
 from repro.core.violation import Pattern
 from repro.index.qgram import packed_overlap
 from repro.index.registry import AttributeIndexRegistry
@@ -214,136 +213,6 @@ def _band_width(ratio: float, spread: float) -> float:
     return ratio * spread * (1.0 + _BAND_SLACK) + spread * _BAND_ABS_SLACK
 
 
-def _band_windows(values: List[float], band: float) -> List[Tuple[int, int]]:
-    """Value-id pairs whose numeric gap is within *band* (two-pointer)."""
-    order = sorted(range(len(values)), key=lambda vid: values[vid])
-    pairs: List[Tuple[int, int]] = []
-    left = 0
-    for right in range(len(order)):
-        while values[order[right]] - values[order[left]] > band:
-            left += 1
-        for mid in range(left, right):
-            pairs.append((order[mid], order[right]))
-    return pairs
-
-
-def _band_estimate(
-    values: List[float], groups: List[List[int]], band: float
-) -> int:
-    """Exact candidate-pair count of the band join, without emitting."""
-    order = sorted(range(len(values)), key=lambda vid: values[vid])
-    total = _intra_pair_count(groups)
-    left = 0
-    window = 0  # sum of group sizes currently in [left, right)
-    for right in range(len(order)):
-        while values[order[right]] - values[order[left]] > band:
-            window -= len(groups[order[left]])
-            left += 1
-        total += window * len(groups[order[right]])
-        window += len(groups[order[right]])
-    return total
-
-
-# ----------------------------------------------------------------------
-# Q-gram prefix index (string attributes)
-# ----------------------------------------------------------------------
-class QGramPrefixIndex:
-    """Length-bucketed inverted q-gram index over distinct values.
-
-    Posting lists are keyed by (value length, gram); probing iterates
-    the length buckets the edit budget allows and unions the postings
-    of the query's ``k*q + 1`` rarest grams (the prefix filter). When a
-    query has at most ``k*q`` distinct grams the filter is vacuous for
-    that query and the whole bucket is taken — soundness over
-    selectivity.
-    """
-
-    def __init__(self, values: Sequence[str], ratio: float, q: int) -> None:
-        self.ratio = ratio
-        self.q = q
-        self._profiles: List[frozenset] = [
-            frozenset(qgrams(value, q)) for value in values
-        ]
-        frequency: Counter = Counter()
-        for profile in self._profiles:
-            frequency.update(profile)
-        self._frequency = frequency
-        self._lengths: List[int] = [len(value) for value in values]
-        self._by_length: Dict[int, List[int]] = {}
-        self._postings: Dict[int, Dict[str, List[int]]] = {}
-        for vid, length in enumerate(self._lengths):
-            self._by_length.setdefault(length, []).append(vid)
-            bucket = self._postings.setdefault(length, {})
-            for gram in self._profiles[vid]:
-                bucket.setdefault(gram, []).append(vid)
-
-    def budget(self, la: int, lb: int) -> int:
-        """The edit budget for a value-length pair, epsilon included."""
-        return int(self.ratio * max(la, lb) + _BUDGET_EPS)
-
-    def candidate_value_pairs(self) -> Set[Tuple[int, int]]:
-        """All value-id pairs that may be within their edit budget."""
-        frequency = self._frequency
-        pairs: Set[Tuple[int, int]] = set()
-        lengths = sorted(self._by_length)
-        for vid, profile in enumerate(self._profiles):
-            la = self._lengths[vid]
-            prefix_source = sorted(profile, key=lambda g: (frequency[g], g))
-            for lb in lengths:
-                k = self.budget(la, lb)
-                if abs(la - lb) > k:
-                    continue
-                if len(prefix_source) <= k * self.q:
-                    hits: Sequence[int] = self._by_length[lb]
-                else:
-                    bucket = self._postings[lb]
-                    seen: Set[int] = set()
-                    for gram in prefix_source[: k * self.q + 1]:
-                        seen.update(bucket.get(gram, ()))
-                    hits = seen
-                for other in hits:
-                    if other != vid:
-                        pairs.add((vid, other) if vid < other else (other, vid))
-        return pairs
-
-
-def _qgram_value_pairs(
-    values: Sequence[str],
-    groups: Sequence[Sequence[int]],
-    ratio: float,
-    q: int,
-    cap: int,
-    expansion_limit: float,
-) -> Optional[Tuple[Tuple[Tuple[int, int], ...], int]]:
-    """Value-id pairs within the *ratio* budget, plus their expansion.
-
-    Prefix-index probing proposes candidates; each survivor is then
-    settled exactly with the banded Levenshtein kernel, so the emitted
-    set is precisely the pairs within ``floor(ratio * max_len + eps)``
-    edits — the tightest sound single-attribute candidate set. Returns
-    ``(pairs, expanded)`` where *expanded* counts the cross pattern
-    pairs the value pairs unfold to, or ``None`` as soon as the probe
-    survivors exceed *cap* or the running expansion exceeds
-    *expansion_limit* — a blocker past either bound cannot beat the
-    plan that set it, so the (banded) verification work stops early.
-    """
-    index = QGramPrefixIndex(values, ratio, q)
-    raw = index.candidate_value_pairs()
-    if len(raw) > cap:
-        return None
-    kept: List[Tuple[int, int]] = []
-    expanded = 0
-    for u, v in sorted(raw):
-        a, b = values[u], values[v]
-        k = index.budget(len(a), len(b))
-        if levenshtein_banded(a, b, k) <= k:
-            kept.append((u, v))
-            expanded += len(groups[u]) * len(groups[v])
-            if expanded > expansion_limit:
-                return None
-    return tuple(kept), expanded
-
-
 # ----------------------------------------------------------------------
 # Vectorized candidate passes (distinct-id granularity, numpy-batched)
 # ----------------------------------------------------------------------
@@ -357,9 +226,10 @@ _VEC_OVERLAP_BYTES = 1 << 23
 def vectorized_band_pairs(values: Sequence[float], band: float) -> Tuple[Any, Any, int]:
     """Value-id pairs with ``|a - b| <= band``, as numpy arrays.
 
-    The vectorized twin of :func:`_band_windows`: an argsort plus one
-    ``searchsorted`` per side replaces the two-pointer scan, and the
-    windows expand through segmented ``repeat``/``cumsum`` arithmetic.
+    The vectorized twin of :meth:`AttributeIndexRegistry.band_windows`:
+    an argsort plus one ``searchsorted`` per side replaces the two-pointer
+    scan, and the windows expand through segmented ``repeat``/``cumsum``
+    arithmetic.
     Returns ``(u, v, passes)`` where *passes* counts the vectorized
     filter passes run. Same pair set as the scalar code — the window
     condition compares the same floats.
@@ -581,7 +451,7 @@ class _AttrInfo:
         )
 
     def _pair_cap(self) -> int:
-        """Value-pair budget for planning-time banded verification."""
+        """Value-pair budget for planning-time settle verification."""
         n_patterns = sum(len(group) for group in self.groups)
         return max(50_000, n_patterns * n_patterns // 8)
 
@@ -797,8 +667,7 @@ def candidate_pairs(
                 value_pairs = blocker.value_pairs
             else:
                 # unsettled fallback: the shared index's raw probe
-                # survivors, translated to local ids — same set the
-                # per-FD QGramPrefixIndex emitted
+                # survivors, translated to local ids
                 entry, codes = registry.string_index(blocker.attribute, values)
                 local_of = {code: vid for vid, code in enumerate(codes)}
                 value_pairs = sorted(

@@ -9,7 +9,7 @@ sound rejection test that avoids the dynamic program for most pairs.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.distances import qgrams
 
@@ -199,84 +199,3 @@ def packed_overlap(packed: Any, left: Any, right: Any) -> Any:
     inter = _np.bitwise_and(packed[left], packed[right])
     return table[inter].sum(axis=1, dtype=_np.int64)
 
-
-class QGramIndex:
-    """Inverted index from q-grams to string ids.
-
-    Supports candidate generation for "find all indexed strings within
-    edit distance *k* of a query": any true match must share at least one
-    q-gram with the query whenever ``k*q < len(query) + q - 1``, so the
-    union of posting lists (plus a count threshold) is a candidate set.
-    Used by the similarity-join ablation and by closest-value lookups.
-    """
-
-    def __init__(self, q: int = 2) -> None:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        self.q = q
-        self._postings: Dict[str, Set[int]] = {}
-        self._strings: List[str] = []
-        self._gramless: Set[int] = set()  # empty strings have no q-grams
-
-    def add(self, text: str) -> int:
-        """Index *text*; returns its id."""
-        sid = len(self._strings)
-        self._strings.append(text)
-        grams = set(qgrams(text, self.q))
-        if not grams:
-            self._gramless.add(sid)
-        for gram in grams:
-            self._postings.setdefault(gram, set()).add(sid)
-        return sid
-
-    def extend(self, texts: Iterable[str]) -> None:
-        """Index several strings."""
-        for text in texts:
-            self.add(text)
-
-    def string(self, sid: int) -> str:
-        """The indexed string with id *sid*."""
-        return self._strings[sid]
-
-    def __len__(self) -> int:
-        return len(self._strings)
-
-    def candidates(self, query: str, max_edits: int) -> List[int]:
-        """Ids of indexed strings that *may* be within *max_edits* of *query*.
-
-        Sound (never drops a true match); the caller verifies candidates
-        with the exact edit distance. Falls back to all ids when the
-        filter is vacuous for this query/threshold combination.
-        """
-        profile = set(qgrams(query, self.q))
-        # One edit touches at most q gram positions, hence destroys at
-        # most q *distinct* gram types: a true match keeps at least this
-        # many of the query's distinct grams.
-        need = len(profile) - max_edits * self.q
-        if need <= 0 or not profile:
-            return list(range(len(self._strings)))
-        counts: Counter = Counter()
-        for gram in profile:
-            for sid in self._postings.get(gram, ()):
-                counts[sid] += 1
-        # Candidate strings may be longer than the query, which raises
-        # their own requirement; checking against the query-side bound
-        # alone stays sound.
-        out = [sid for sid, seen in counts.items() if seen >= max(need, 1)]
-        # Gramless (empty) strings never hit a posting list; they can
-        # still match when the whole query fits in the edit budget.
-        if self._gramless and len(query) <= max_edits:
-            out.extend(self._gramless)
-        return out
-
-    def search(self, query: str, max_edits: int) -> List[Tuple[int, int]]:
-        """Exact search: (id, distance) for strings within *max_edits*."""
-        from repro.core.distances import levenshtein
-
-        hits: List[Tuple[int, int]] = []
-        for sid in self.candidates(query, max_edits):
-            dist = levenshtein(query, self._strings[sid], upper_bound=max_edits)
-            if dist <= max_edits:
-                hits.append((sid, dist))
-        hits.sort(key=lambda pair: (pair[1], pair[0]))
-        return hits

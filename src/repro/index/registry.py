@@ -16,14 +16,14 @@ Shared per string attribute:
   posting lists (ratio-independent — built lazily on first q-gram probe),
 * the raw probe survivors per ratio (``raw_pairs``),
 * the exact settle verdicts ``lev(a, b) <= k`` per value pair and
-  budget, computed through the active Levenshtein kernel with interned
-  Myers preparations (see :class:`repro.core.distances.PreparedKernel`).
+  budget, computed through interned Myers preparations (see
+  :class:`repro.core.distances.PreparedKernel`).
 
 Shared per numeric attribute: the sorted value order and the band-join
 windows per band width.
 
-Everything the registry returns is provably identical to what the
-per-FD rebuild produced: raw probe sets depend only on the value *set*
+Everything the registry returns is provably identical to what a
+per-FD build would produce: raw probe sets depend only on the value *set*
 (frequencies, buckets, and postings are numbering-invariant), settle
 verdicts are value-level facts, band windows and estimates are
 unordered-pair sets/counts that tie order cannot change, and the
@@ -44,12 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.distances import (
-    PreparedKernel,
-    default_kernel,
-    levenshtein,
-    qgrams,
-)
+from repro.core.distances import PreparedKernel, qgrams
 
 
 def _budget_eps() -> float:
@@ -119,10 +114,14 @@ class _StringIndex:
     def raw_pairs(self, ratio: float) -> Tuple[Tuple[int, int], ...]:
         """Probe survivors at *ratio*, in canonical codes, cached.
 
-        Replicates ``QGramPrefixIndex.candidate_value_pairs`` exactly:
-        the emitted pair *set* depends only on the value set, never on
-        the numbering, so translating codes to any FD's local ids yields
-        the same candidate set the per-FD index produced.
+        For value lengths ``(la, lb)`` the edit budget is
+        ``k = floor(ratio * max(la, lb) + eps)``; buckets whose length
+        differs from a value's by more than ``k`` are skipped, and the
+        ``k * q + 1`` globally rarest grams of the value are probed
+        against the bucket's postings (the whole bucket is taken when
+        the value has at most ``k * q`` grams). The emitted pair *set*
+        depends only on the value set, never on the numbering, so
+        translating codes to any FD's local ids yields the same set.
         """
         cached = self._raw_pairs.get(ratio)
         if cached is not None:
@@ -294,8 +293,6 @@ class AttributeIndexRegistry:
         self._strings: Dict[str, _StringIndex] = {}
         self._numerics: Dict[str, _NumericIndex] = {}
         self._kernels: Dict[str, PreparedKernel] = {}
-        self._gram_profiles: Dict[str, Counter] = {}
-        self._count_filter: Dict[Tuple[str, str, int], bool] = {}
 
     def counters(self) -> Dict[str, int]:
         """The accounting triple, for stats plumbing."""
@@ -363,51 +360,14 @@ class AttributeIndexRegistry:
             self._kernels[text] = prepared
         return prepared
 
-    def gram_profile(self, text: str) -> Counter:
-        """The interned q-gram multiset of *text* (for count filters)."""
-        profile = self._gram_profiles.get(text)
-        if profile is None:
-            profile = Counter(qgrams(text, self.q))
-            self._gram_profiles[text] = profile
-        return profile
-
-    def count_filter_reject(
-        self, a: str, b: str, pa: Counter, pb: Counter, need: int
-    ) -> bool:
-        """Cached count-filter verdict: ``gram overlap(a, b) < need``.
-
-        The same value pairs recur across pattern pairs and across FDs
-        sharing the attribute, so the overlap loop runs once per
-        distinct ``(pair, budget)``; every later probe is a dict hit.
-        Overlap is symmetric, hence the normalized key.
-        """
-        if a > b:
-            a, b = b, a
-        key = (a, b, need)
-        verdict = self._count_filter.get(key)
-        if verdict is None:
-            if len(pb) < len(pa):
-                pa, pb = pb, pa
-            overlap = 0
-            for gram, count in pa.items():
-                other = pb[gram]
-                if other:
-                    overlap += count if count < other else other
-            verdict = overlap < need
-            self._count_filter[key] = verdict
-        return verdict
-
     def _settle(self, entry: _StringIndex, u: int, v: int, k: int) -> bool:
-        """Whether ``lev(values[u], values[v]) <= k`` — cached, kernel-routed."""
+        """Whether ``lev(values[u], values[v]) <= k`` — cached."""
         key = (u, v, k)
         verdict = entry.settled.get(key)
         if verdict is None:
             a, b = entry.values[u], entry.values[v]
             self.kernel_calls += 1
-            if default_kernel() == "myers":
-                verdict = self.prepared_kernel(a).compare(b, k) <= k
-            else:
-                verdict = levenshtein(a, b, upper_bound=k) <= k
+            verdict = self.prepared_kernel(a).compare(b, k) <= k
             entry.settled[key] = verdict
         return verdict
 
@@ -421,13 +381,13 @@ class AttributeIndexRegistry:
         """Batched bounded edit distances between canonical value pairs.
 
         Each result honours the kernel contract: exact iff it does not
-        exceed its budget. Under the Myers kernel (with numpy present)
-        misses run through :func:`repro.index.qgram.batched_myers` — the
-        bit-parallel column update as elementwise ``uint64`` ops over
-        the whole batch; pairs the one-word bitvector cannot hold (both
-        sides over 63 characters), other kernels, and numpy-absent runs
-        are grouped by left value and settled through one prepared
-        :meth:`PreparedKernel.compare_many` per group. Exact results are
+        exceed its budget. With numpy present, misses run through
+        :func:`repro.index.qgram.batched_myers` — the bit-parallel column
+        update as elementwise ``uint64`` ops over the whole batch; pairs
+        the one-word bitvector cannot hold (both sides over 63
+        characters) and numpy-absent runs are grouped by left value and
+        settled through one prepared :meth:`PreparedKernel.compare_many`
+        per group. Exact results are
         cached in ``entry.exact_edits`` so the blocker settle and the
         verify pass never re-run a kernel on the same distinct pair.
         """
@@ -445,52 +405,42 @@ class AttributeIndexRegistry:
                 miss.append(pos)
         if not miss:
             return out
-        use_myers = default_kernel() == "myers"
-        if use_myers:
-            from repro.index.qgram import _np, batched_myers
+        from repro.index.qgram import _np, batched_myers
 
-            if _np is not None:
-                codes, lengths, peq = entry.char_arrays()
-                batch = batched_myers(
-                    codes,
-                    lengths,
-                    peq,
-                    _np.fromiter(
-                        (lefts[p] for p in miss), _np.int64, count=len(miss)
-                    ),
-                    _np.fromiter(
-                        (rights[p] for p in miss), _np.int64, count=len(miss)
-                    ),
-                )
-                remaining: List[int] = []
-                for pos, edits in zip(miss, batch.tolist()):
-                    if edits < 0:  # too wide for one word; scalar below
-                        remaining.append(pos)
-                        continue
-                    out[pos] = edits
-                    u, v, k = lefts[pos], rights[pos], budgets[pos]
-                    settled[(u, v, k)] = edits <= k
-                    # batched distances are unconditionally exact
-                    edits_cache[(u, v) if u < v else (v, u)] = edits
-                self.kernel_calls += len(miss) - len(remaining)
-                miss = remaining
+        if _np is not None:
+            codes, lengths, peq = entry.char_arrays()
+            batch = batched_myers(
+                codes,
+                lengths,
+                peq,
+                _np.fromiter(
+                    (lefts[p] for p in miss), _np.int64, count=len(miss)
+                ),
+                _np.fromiter(
+                    (rights[p] for p in miss), _np.int64, count=len(miss)
+                ),
+            )
+            remaining: List[int] = []
+            for pos, edits in zip(miss, batch.tolist()):
+                if edits < 0:  # too wide for one word; scalar below
+                    remaining.append(pos)
+                    continue
+                out[pos] = edits
+                u, v, k = lefts[pos], rights[pos], budgets[pos]
+                settled[(u, v, k)] = edits <= k
+                # batched distances are unconditionally exact
+                edits_cache[(u, v) if u < v else (v, u)] = edits
+            self.kernel_calls += len(miss) - len(remaining)
+            miss = remaining
         pending: Dict[int, List[int]] = {}
         for pos in miss:
             pending.setdefault(lefts[pos], []).append(pos)
         for u, positions in pending.items():
             self.kernel_calls += len(positions)
-            if use_myers:
-                results = self.prepared_kernel(values[u]).compare_many(
-                    [values[rights[p]] for p in positions],
-                    [budgets[p] for p in positions],
-                )
-            else:
-                results = [
-                    levenshtein(
-                        values[u], values[rights[p]], upper_bound=budgets[p]
-                    )
-                    for p in positions
-                ]
+            results = self.prepared_kernel(values[u]).compare_many(
+                [values[rights[p]] for p in positions],
+                [budgets[p] for p in positions],
+            )
             for p, edits in zip(positions, results):
                 out[p] = edits
                 v, k = rights[p], budgets[p]
@@ -548,13 +498,18 @@ class AttributeIndexRegistry:
         cap: int,
         expansion_limit: float,
     ) -> Optional[Tuple[Tuple[Tuple[int, int], ...], int]]:
-        """Shared-index drop-in for ``blocking._qgram_value_pairs``.
+        """Value-id pairs within the *ratio* budget, plus their expansion.
 
-        Same contract: the settled value-id pairs (local ids, sorted)
-        within ``floor(ratio * max_len + eps)`` edits plus their pattern
-        expansion, or ``None`` past *cap* / *expansion_limit*. The abort
-        decision and emitted set are iteration-order independent, so the
-        canonical traversal matches the per-FD one exactly.
+        The probe survivors of :meth:`_StringIndex.raw_pairs` are each
+        settled exactly with the bounded Myers kernel, so the emitted set
+        (local ids, sorted) is precisely the pairs within
+        ``floor(ratio * max_len + eps)`` edits — the tightest sound
+        single-attribute candidate set. Returns ``(pairs, expanded)``
+        where *expanded* counts the cross pattern pairs the value pairs
+        unfold to, or ``None`` as soon as the probe survivors exceed
+        *cap* or the running expansion exceeds *expansion_limit* — a
+        blocker past either bound cannot beat the plan that set it. The
+        abort decision and emitted set are iteration-order independent.
         """
         entry, codes = self.string_index(attribute, values)
         raw = entry.raw_pairs(ratio)
@@ -627,7 +582,7 @@ class AttributeIndexRegistry:
     def band_windows(
         self, attribute: str, values: Sequence[float], band: float
     ) -> List[Tuple[int, int]]:
-        """Shared-index drop-in for ``blocking._band_windows`` (local ids)."""
+        """Value-id pairs within *band* of each other (local ids)."""
         entry, codes = self.numeric_index(attribute, values)
         local_of = {code: vid for vid, code in enumerate(codes)}
         pairs: List[Tuple[int, int]] = []
@@ -642,11 +597,11 @@ class AttributeIndexRegistry:
         groups: Sequence[Sequence[int]],
         band: float,
     ) -> int:
-        """Shared-order drop-in for ``blocking._band_estimate``.
+        """Exact candidate-pair count of the band join, without emitting.
 
         The count of unordered pairs within *band* (plus intra-group
         pairs) is invariant to tie order in the sort, so the canonical
-        order gives the exact per-FD estimate without re-sorting.
+        order gives the exact per-FD count without re-sorting.
         """
         entry, codes = self.numeric_index(attribute, values)
         total = sum(len(g) * (len(g) - 1) // 2 for g in groups)

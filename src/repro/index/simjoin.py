@@ -1,21 +1,16 @@
 """Similarity self-join over FD patterns.
 
 Detecting FT-violations is a threshold self-join: find every pattern pair
-whose weighted projection distance (Eq. 2) is at most ``tau``. This
-module wraps the join with pluggable strategies so the cost of detection
-can be studied (ablation benches) and tuned:
+whose weighted projection distance (Eq. 2) is at most ``tau``. Two
+strategies run it:
 
-* ``naive``     — exact distance for every pair, no filtering.
-* ``filtered``  — per-attribute length lower bound + early-abort
-  accumulation over the full pair scan.
-* ``qgram``     — ``filtered`` plus a q-gram count filter on the most
-  selective string attribute of the FD.
-* ``indexed``   — sub-quadratic candidate generation (engine default):
-  a per-FD blocker planner (:mod:`repro.index.blocking`) replaces the
-  all-pairs loop with exact-match partitioning, a sorted numeric band
-  join, or an inverted q-gram prefix index, and candidates are verified
-  with the banded Levenshtein kernel. Falls back to the filtered scan
-  when no attribute is indexable.
+* ``indexed``   — sub-quadratic candidate generation (the default, and
+  the path that runs without numpy): a per-FD blocker planner
+  (:mod:`repro.index.blocking`) replaces the all-pairs loop with
+  exact-match partitioning, a sorted numeric band join, or an inverted
+  q-gram prefix index, and candidates are verified with the bounded
+  Myers kernel. Falls back to a length-filtered pair scan when no
+  attribute is indexable.
 * ``vectorized`` — the ``indexed`` pigeonhole union run at
   **distinct-dictionary-id granularity** with numpy-batched filtering:
   per-attribute length-band + q-gram count-filter passes over the
@@ -28,26 +23,26 @@ can be studied (ablation benches) and tuned:
   missing, and to the indexed/scan paths when the FD has custom
   distance overrides or uncoercible numerics.
 
-All strategies return exactly the same violations, in the same order,
-with bit-identical distances; only the work differs.
+Both strategies return exactly the same violations, in the same order,
+with bit-identical distances, as an unfiltered scan over every pair;
+only the work differs.
 
 **Counter semantics** (normalized across strategies):
 
 * ``possible_pairs``       — ``P * (P - 1) / 2`` for ``P`` patterns; the
   work a full pair scan would face.
-* ``candidates_generated`` — pairs the strategy put on the table: equal
-  to ``possible_pairs`` for the scan strategies, the blocker output for
-  ``indexed``.
+* ``candidates_generated`` — pairs the strategy put on the table: the
+  blocker output, or ``possible_pairs`` when ``indexed`` falls back to
+  the pair scan.
 * ``pairs_examined``       — candidate pairs actually inspected (always
   equals ``candidates_generated``; kept for backward compatibility).
 * ``pairs_filtered``       — of those, rejected by a cheap sound filter
-  (length lower bound, q-gram count) before exact verification. Always
-  0 for ``naive``, which verifies everything.
+  (length lower bound, q-gram count) before exact verification.
 * ``pairs_verified``       — pairs that reached the exact Eq. (2)
   accumulation: ``pairs_examined - pairs_filtered``.
 
-The ``vectorized`` strategy adds three distinct-id counters (0 for the
-tuple-granular strategies):
+The ``vectorized`` strategy adds three distinct-id counters (0 for
+``indexed``, which works at tuple granularity):
 
 * ``distinct_pairs_examined`` — unique distinct-value pairs given an
   exact evaluation (blocker settles plus verification), summed per
@@ -66,8 +61,7 @@ possible pairs the strategy never examined.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Counter as CounterType
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
@@ -89,7 +83,6 @@ from repro.index.blocking import (
     vectorized_band_pairs,
     vectorized_qgram_pairs,
 )
-from repro.index.qgram import passes_count_filter
 from repro.index.registry import AttributeIndexRegistry
 from repro.obs import span
 
@@ -98,7 +91,7 @@ try:  # numpy is optional at runtime; ``vectorized`` degrades without it
 except ImportError:  # pragma: no cover - exercised by the numpy-absent CI job
     _np = None  # type: ignore[assignment]
 
-STRATEGIES = ("naive", "filtered", "qgram", "indexed", "vectorized")
+STRATEGIES = ("indexed", "vectorized")
 
 
 class DegradedJoinWarning(RuntimeWarning):
@@ -142,7 +135,6 @@ class SimilarityJoin:
         #: shared attribute indexes; pass one registry to every join of a
         #: run so FDs with overlapping attributes reuse each other's work
         self.registry = registry if registry is not None else AttributeIndexRegistry(q)
-        self._qgram_attr = self._pick_qgram_attribute() if strategy == "qgram" else None
         self.plan: Optional[BlockPlan] = None
         self._reset_counters()
 
@@ -164,7 +156,7 @@ class SimilarityJoin:
 
     @property
     def reduction_ratio(self) -> float:
-        """Fraction of the possible pairs never examined (0 for scans)."""
+        """Fraction of the possible pairs never examined (0 for a scan)."""
         if not self.possible_pairs:
             return 0.0
         return 1.0 - min(1.0, self.pairs_examined / self.possible_pairs)
@@ -188,47 +180,6 @@ class SimilarityJoin:
         }
 
     # ------------------------------------------------------------------
-    def _pick_qgram_attribute(self) -> Optional[Tuple[int, float]]:
-        """Choose the string attribute with the tightest edit budget.
-
-        Returns (position in the FD projection, weight) or ``None`` when
-        the FD has no usable string attribute.
-        """
-        n_lhs = len(self.fd.lhs)
-        best: Optional[Tuple[int, float]] = None
-        for pos, _attr in enumerate(self.fd.attributes):
-            weight = (
-                self.model.weights.lhs if pos < n_lhs else self.model.weights.rhs
-            )
-            if weight <= 0:
-                continue
-            if best is None or weight > best[1]:
-                best = (pos, weight)
-        return best
-
-    def _qgram_reject(self, v1: Tuple, v2: Tuple) -> bool:
-        """True when the q-gram filter proves the pair exceeds tau.
-
-        Pairwise reference form of the test; the scan loop inlines a
-        boolean-identical version over registry-interned gram profiles
-        with the verdict cached per distinct value pair
-        (:meth:`AttributeIndexRegistry.count_filter_reject`).
-        """
-        if self._qgram_attr is None:
-            return False
-        pos, weight = self._qgram_attr
-        a, b = v1[pos], v2[pos]
-        if not isinstance(a, str) or not isinstance(b, str) or a == b:
-            return False
-        # The single attribute alone must satisfy weight * ned <= tau,
-        # i.e. lev <= (tau / weight) * max(len).
-        longest = max(len(a), len(b))
-        if longest == 0:
-            return False
-        max_edits = int((self.tau / weight) * longest)
-        return not passes_count_filter(a, b, max_edits, self.q)
-
-    # ------------------------------------------------------------------
     def join(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
         """All FT-violating pairs among *patterns* at threshold ``tau``."""
         self._reset_counters()
@@ -242,9 +193,8 @@ class SimilarityJoin:
             reuses0 = registry.index_reuses
             n = len(patterns)
             self.possible_pairs = n * (n - 1) // 2
-            if self.strategy == "indexed":
-                out = self._indexed_path(patterns)
-            elif self.strategy == "vectorized":
+            out: Optional[List[FTViolation]] = None
+            if self.strategy == "vectorized":
                 if _np is None:
                     warnings.warn(
                         "numpy is unavailable; join_strategy='vectorized' "
@@ -253,17 +203,12 @@ class SimilarityJoin:
                         DegradedJoinWarning,
                         stacklevel=2,
                     )
-                    out = self._indexed_path(patterns)
                 else:
-                    vectorized = self._join_vectorized(patterns)
-                    if vectorized is None:
-                        # custom overrides / uncoercible actives: the
-                        # scalar paths own those semantics
-                        out = self._indexed_path(patterns)
-                    else:
-                        out = vectorized
-            else:
-                out = self._join_scan(patterns)
+                    # None for custom overrides / uncoercible actives:
+                    # the scalar paths own those semantics
+                    out = self._join_vectorized(patterns)
+            if out is None:
+                out = self._indexed_path(patterns)
             self.kernel_calls = (
                 model.kernel_calls + registry.kernel_calls - kernel_calls0
             )
@@ -281,7 +226,7 @@ class SimilarityJoin:
         )
         if self.plan.kind != "scan":
             return self._join_indexed(patterns)
-        # no indexable attribute: fall back to the filtered scan
+        # no indexable attribute: fall back to the length-filtered scan
         return self._join_scan(patterns)
 
     # ------------------------------------------------------------------
@@ -462,7 +407,7 @@ class SimilarityJoin:
                 canon_v = codes_arr[vv]
                 lengths = np.asarray(entry.lengths, dtype=np.int64)
                 longest = np.maximum(lengths[canon_u], lengths[canon_v])
-                # the loosest budget the scalar banded loop could use;
+                # the loosest budget the scalar bounded verify could use;
                 # pairs rejected here provably exceed tau (margin
                 # weight / longest, far above float noise)
                 budgets = ((tau / info.weight) * longest).astype(np.int64) + 1
@@ -535,82 +480,30 @@ class SimilarityJoin:
             if i != prepared_i:
                 prepared = PreparedProjection(model, fd, left.values)
                 prepared_i = i
-            dist = prepared.distance_within_banded(right.values, tau)
+            dist = prepared.distance_within_bounded(right.values, tau)
             if dist is not None:
                 out.append(FTViolation(left, right, dist))
         return out
 
     def _join_scan(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
-        """The quadratic pair scan shared by naive/filtered/qgram."""
+        """The quadratic pair scan behind a ``scan`` plan.
+
+        Every pair is examined; the length lower bound rejects hopeless
+        pairs before the exact Eq. (2) accumulation, which aborts once
+        the running sum exceeds ``tau``.
+        """
         out: List[FTViolation] = []
-        naive = self.strategy == "naive"
-        qgram = self.strategy == "qgram"
-        model, fd, tau = self.model, self.fd, self.tau
-        lhs, rhs = fd.lhs, fd.rhs
-        profiles: Optional[List[Optional["CounterType[str]"]]] = None
-        pos = -1
-        ratio = 0.0
-        q = self.q
-        reject = self.registry.count_filter_reject
-        if qgram and self._qgram_attr is not None:
-            # gram profiles once per pattern (interned per distinct value
-            # in the registry), not twice per pair
-            pos, weight = self._qgram_attr
-            ratio = self.tau / weight
-            gram_profile = self.registry.gram_profile
-            profiles = [
-                gram_profile(p.values[pos])
-                if isinstance(p.values[pos], str)
-                else None
-                for p in patterns
-            ]
+        tau = self.tau
         for i, left in enumerate(patterns):
             # left preparation once per row of the scan (one-vs-many):
             # the length-bound spec and per-attribute kernel comparers
             # are streamed over every right-hand pattern
-            prepared = (
-                None if naive else PreparedProjection(model, fd, left.values)
-            )
-            pa = profiles[i] if profiles is not None else None
-            if pa is not None:
-                a_left = left.values[pos]
-                la = len(a_left)
-            for k, right in enumerate(patterns[i + 1 :], start=i + 1):
+            prepared = PreparedProjection(self.model, self.fd, left.values)
+            for right in patterns[i + 1 :]:
                 self.pairs_examined += 1
-                if naive:
-                    # genuinely unfiltered: full Eq. (2), then compare
-                    self.pairs_verified += 1
-                    dist = model.projection_distance(
-                        lhs, rhs, left.values, right.values
-                    )
-                    if dist <= tau:
-                        out.append(FTViolation(left, right, dist))
-                    continue
                 if prepared.length_lower_bound(right.values) > tau:
                     self.pairs_filtered += 1
                     continue
-                if pa is not None:
-                    # inline count filter: the single attribute alone
-                    # must satisfy weight * ned <= tau, i.e.
-                    # lev <= (tau / weight) * max(len)
-                    b = right.values[pos]
-                    pb = profiles[k]
-                    if pb is not None and a_left != b:
-                        lb = len(b)
-                        longest = la if la > lb else lb
-                        if longest:
-                            max_edits = int(ratio * longest)
-                            if not a_left or not b:
-                                if longest > max_edits:
-                                    self.pairs_filtered += 1
-                                    continue
-                            else:
-                                need = longest + q - 1 - max_edits * q
-                                if need > 0 and reject(
-                                    a_left, b, pa, pb, need
-                                ):
-                                    self.pairs_filtered += 1
-                                    continue
                 self.pairs_verified += 1
                 dist = prepared.distance_within(
                     right.values, tau, use_filters=False

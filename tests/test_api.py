@@ -1,14 +1,14 @@
-"""The ``repro.api`` facade and the shared deprecation policy."""
+"""The ``repro.api`` facade and the 2.0 removals."""
 
+import re
 import subprocess
 import sys
-import warnings
+from pathlib import Path
 
 import pytest
 
 import repro
 import repro.api as api
-from repro._compat import CURRENT_RELEASE, NEXT_RELEASE, deprecated
 
 
 class TestFacade:
@@ -41,7 +41,12 @@ class TestFacade:
         assert api.RepairConfig is repro.RepairConfig
 
     def test_version_matches_release_tag(self):
-        assert repro.__version__.startswith(CURRENT_RELEASE)
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        declared = re.search(
+            r'^version = "([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert declared is not None
+        assert repro.__version__ == declared.group(1) == "2.0.0"
 
     def test_end_to_end_through_the_facade(self):
         fd = api.FD.parse("K -> V")
@@ -64,31 +69,41 @@ class TestFacade:
         assert proc.returncode == 0, proc.stderr.decode()
 
 
-class TestDeprecationPolicy:
-    def test_message_format(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"use new\(\) \[deprecated since 1\.2, "
-            r"scheduled for removal in 1\.3\]",
-        ):
-            deprecated("use new()", stacklevel=2)
+class TestRemovedIn2:
+    """The 1.x deprecation shims and detection options are gone in 2.0."""
 
-    def test_release_override(self):
-        with pytest.warns(DeprecationWarning, match=r"since 1\.1"):
-            deprecated("old thing", since="1.1", stacklevel=2)
+    def test_kernel_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            repro.RepairConfig(kernel="myers")
 
-    def test_releases_are_consecutive(self):
-        major, minor = CURRENT_RELEASE.split(".")
-        assert NEXT_RELEASE == f"{major}.{int(minor) + 1}"
+    def test_removed_join_strategy_rejected(self):
+        with pytest.raises(ValueError, match=r"'indexed', 'vectorized'"):
+            repro.RepairConfig(join_strategy="qgram")
 
-    def test_repairer_legacy_spellings_route_through_compat(self):
+    def test_cli_rejects_removed_flags(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["in.csv", "--fd", "A -> B", "--kernel", "myers"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["in.csv", "--fd", "A -> B", "--join-strategy", "naive"]
+            )
+        err = capsys.readouterr().err
+        assert "'indexed'" in err and "'vectorized'" in err
+
+    def test_legacy_spellings_rejected(self):
         fds = [repro.FD.parse("K -> V")]
-        with pytest.warns(DeprecationWarning, match=r"deprecated since 1\.1"):
+        with pytest.raises(TypeError):
+            repro.Repairer(fds, "greedy-m")
+        with pytest.raises(TypeError):
             repro.Repairer(fds, rng=3)
-
-    def test_config_simjoin_alias_still_accepted(self):
-        config = repro.RepairConfig().merged(simjoin_strategy="naive")
-        assert config.join_strategy == "naive"
+        with pytest.raises(TypeError):
+            repro.RepairConfig().merged(simjoin_strategy="indexed")
+        assert not hasattr(repro.Relation, "record")
+        assert not hasattr(repro.Relation, "from_dicts")
+        assert "deprecated" not in api.__all__
 
 
 class TestCliConfigNamespace:
@@ -96,36 +111,20 @@ class TestCliConfigNamespace:
         from repro.cli import build_parser
 
         parser = build_parser()
-        blessed = parser.parse_args(
-            ["in.csv", "--fd", "A -> B", "--join-strategy", "naive"]
+        args = parser.parse_args(
+            ["in.csv", "--fd", "A -> B", "--join-strategy", "vectorized"]
         )
-        legacy = parser.parse_args(
-            ["in.csv", "--fd", "A -> B", "--simjoin-strategy", "naive"]
-        )
-        assert blessed.join_strategy == legacy.join_strategy == "naive"
-
-    def test_kernel_flag_maps_to_config_field(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["in.csv", "--fd", "A -> B", "--kernel", "banded"]
-        )
-        config = repro.RepairConfig(kernel=args.kernel)
-        assert config.kernel == "banded"
+        assert args.join_strategy == "vectorized"
+        # the pre-1.2 --simjoin-strategy alias is gone
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["in.csv", "--fd", "A -> B", "--simjoin-strategy", "indexed"]
+            )
 
     def test_no_global_kernel_mutation(self):
-        # the CLI used to call set_default_kernel(); the kernel must now
-        # travel through RepairConfig only
+        # Myers is the only kernel: no process-global switch, no config
+        # field
         import repro.cli as cli
 
         assert not hasattr(cli, "set_default_kernel")
-
-
-def test_deprecated_accessors_survive_one_release():
-    relation = repro.Relation(repro.Schema.of("A"), [("x",)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        with pytest.raises(DeprecationWarning):
-            relation.record(0)
-        with pytest.raises(DeprecationWarning):
-            repro.Relation.from_dicts(repro.Schema.of("A"), [{"A": "x"}])
+        assert "kernel" not in repro.RepairConfig().to_dict()

@@ -7,11 +7,12 @@ from repro.core.distances import DistanceModel, Weights, levenshtein
 from repro.core.violation import ft_violation_pairs, group_patterns
 from repro.dataset.relation import Relation, Schema
 from repro.index.blocking import (
+    _BUDGET_EPS,
     BlockPlan,
-    QGramPrefixIndex,
     candidate_pairs,
     plan_blocker,
 )
+from repro.index.registry import _StringIndex
 
 
 def _setup(rows, columns=("K", "V"), numeric=(), weights=None):
@@ -133,26 +134,29 @@ class TestSoundness:
         assert len(emitted) <= plan.estimate
 
 
-class TestQGramPrefixIndex:
+class TestRegistryQGramProbe:
+    """The registry's live q-gram probe (``_StringIndex.raw_pairs``)."""
+
     def test_emits_all_pairs_within_budget(self):
         values = ["kitten", "sitten", "sitting", "mitten", "banana",
                   "bananas", "cabana"]
         ratio = 0.34  # ~2 edits on 6-7 char values
-        index = QGramPrefixIndex(values, ratio, q=2)
-        raw = index.candidate_value_pairs()
+        raw = _StringIndex(values, q=2).raw_pairs(ratio)
         for i, a in enumerate(values):
             for j in range(i + 1, len(values)):
                 b = values[j]
-                k = index.budget(len(a), len(b))
+                k = int(ratio * max(len(a), len(b)) + _BUDGET_EPS)
                 if levenshtein(a, b) <= k:
                     assert (i, j) in raw, (a, b)
 
     def test_budget_uses_longer_length(self):
-        index = QGramPrefixIndex(["abcd", "abcdefgh"], 0.25, q=2)
-        assert index.budget(4, 8) == 2
-        assert index.budget(4, 4) == 1
+        # lengths 4 and 6 at ratio 0.34: the longer length allows
+        # floor(0.34*6)=2 edits, covering the gap of 2; the shorter
+        # length's floor(0.34*4)=1 would have pruned the pair
+        raw = _StringIndex(["abcd", "abcdxy"], q=2).raw_pairs(0.34)
+        assert (0, 1) in raw
 
     def test_length_gap_pruning(self):
         # lengths 3 and 9 at ratio 0.34: budget floor(0.34*9)=3 < gap 6
-        index = QGramPrefixIndex(["abc", "abcdefghi"], 0.34, q=2)
-        assert (0, 1) not in index.candidate_value_pairs()
+        raw = _StringIndex(["abc", "abcdefghi"], q=2).raw_pairs(0.34)
+        assert (0, 1) not in raw

@@ -119,23 +119,21 @@ class TestRun:
         )
         assert code == 0
 
-    @pytest.mark.parametrize(
-        "strategy", ["naive", "filtered", "qgram", "indexed"]
-    )
+    @pytest.mark.parametrize("strategy", ["indexed", "vectorized"])
     def test_simjoin_strategy_flag(self, csv_path, capsys, strategy):
         code = main(
             [str(csv_path), "--fd", "sku -> product", "--tau", "0.3",
-             "--simjoin-strategy", strategy, "--report", "--dry-run"]
+             "--join-strategy", strategy, "--report", "--dry-run"]
         )
         assert code == 0
-        # every strategy detects the same typo and proposes the same fix
+        # both strategies detect the same typo and propose the same fix
         out = capsys.readouterr().out
         assert "espresso-oen" in out and "espresso-one" in out
 
     def test_unknown_simjoin_strategy_exits(self, csv_path):
         with pytest.raises(SystemExit):
             main([str(csv_path), "--fd", "sku -> product",
-                  "--simjoin-strategy", "hash-blocking"])
+                  "--join-strategy", "naive"])
 
     def test_stats_prints_detection_counters(self, csv_path, capsys):
         code = main(

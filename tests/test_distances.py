@@ -8,13 +8,12 @@ from repro.core.distances import (
     Weights,
     jaccard_distance,
     levenshtein,
-    levenshtein_banded,
-    levenshtein_two_row,
     normalized_edit_distance,
     normalized_euclidean,
     qgrams,
 )
 from repro.dataset.relation import Relation, Schema
+from tests.oracles.kernels import levenshtein_two_row
 
 words = st.text(alphabet="abcdefgh", max_size=12)
 
@@ -73,7 +72,8 @@ class TestLevenshtein:
 
 
 class TestLevenshteinBanded:
-    """The Ukkonen kernel's early-abort contract vs the two-row DP."""
+    """The bounded early-abort contract of ``levenshtein`` (exact when
+    within the budget, ``budget + 1`` past it) vs the two-row oracle."""
 
     @pytest.mark.parametrize(
         "a,b,k,expected",
@@ -89,35 +89,34 @@ class TestLevenshteinBanded:
         ],
     )
     def test_contract_cases(self, a, b, k, expected):
-        assert levenshtein_banded(a, b, k) == expected
+        assert levenshtein(a, b, k) == expected
 
     def test_negative_budget(self):
-        assert levenshtein_banded("x", "y", -1) == 1
-        assert levenshtein_banded("x", "x", -1) == 0
+        assert levenshtein("x", "y", -1) == 1
+        assert levenshtein("x", "x", -1) == 0
 
     @given(words, words, st.integers(0, 8))
     def test_property_matches_two_row(self, a, b, k):
         """Exact when <= k, strictly above k otherwise — always."""
         exact = levenshtein_two_row(a, b)
-        banded = levenshtein_banded(a, b, k)
+        bounded = levenshtein(a, b, k)
         if exact <= k:
-            assert banded == exact
+            assert bounded == exact
         else:
-            assert banded > k
+            assert bounded > k
 
     @given(words, words, st.integers(0, 8))
     def test_symmetry(self, a, b, k):
-        assert levenshtein_banded(a, b, k) == levenshtein_banded(b, a, k)
+        assert levenshtein(a, b, k) == levenshtein(b, a, k)
 
 
 @pytest.mark.slow
 class TestBandedKernelMicrobench:
-    """pytest-benchmark: banded kernel vs the full two-row DP.
+    """pytest-benchmark: the two-row DP oracle on the verify regime.
 
     Long near-identical strings with a tight budget is the indexed
-    verify step's regime: the band materializes O(k*n) cells instead of
-    O(n^2), so the kernel should win clearly while returning identical
-    results under the early-abort contract.
+    verify step's regime; the bounded kernel must return results
+    identical to the oracle's under the early-abort contract.
     """
 
     A = ("the-hospital-measure-code-" * 8)[:200]
@@ -127,18 +126,14 @@ class TestBandedKernelMicrobench:
         result = benchmark(levenshtein_two_row, self.A, self.B)
         assert result == 3
 
-    def test_banded_kernel(self, benchmark):
-        result = benchmark(levenshtein_banded, self.A, self.B, 5)
-        assert result == 3
-
     def test_identical_results_under_contract(self):
         for k in range(0, 10):
             exact = levenshtein_two_row(self.A, self.B)
-            banded = levenshtein_banded(self.A, self.B, k)
+            bounded = levenshtein(self.A, self.B, k)
             if exact <= k:
-                assert banded == exact
+                assert bounded == exact
             else:
-                assert banded > k
+                assert bounded > k
 
 
 class TestNormalizedEdit:

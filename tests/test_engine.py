@@ -2,11 +2,13 @@
 
 import pytest
 
+import repro.core.graph as graph_module
 from repro.core.constraints import FD
 from repro.core.distances import Weights
 from repro.core.engine import ALGORITHMS, Repairer
 from repro.core.violation import is_ft_consistent_all
 from repro.dataset.citizens import CITIZENS_ERRORS
+from tests.oracles.simjoin import NaiveJoin
 
 
 class TestConfiguration:
@@ -182,64 +184,78 @@ class TestEndToEnd:
             repairer.repair(dirty)
 
 
+class _OracleJoin(NaiveJoin):
+    """The naive oracle behind the ``SimilarityJoin`` signature."""
+
+    instances = 0
+
+    def __init__(self, fd, model, tau, strategy=None, registry=None):
+        super().__init__(fd, model, tau)
+        _OracleJoin.instances += 1
+
+    def counters(self):
+        return {"pairs_examined": self.pairs_examined}
+
+
+def _run_greedy_m(citizens, fds, thresholds, strategy):
+    result = Repairer(
+        fds, algorithm="greedy-m", thresholds=thresholds,
+        join_strategy=strategy,
+    ).repair(citizens)
+    return (
+        [tuple(result.relation.row(t)) for t in result.relation.tids()],
+        [(e.cell, e.old, e.new) for e in result.edits],
+        result.cost,
+    )
+
+
+def _oracle_greedy_m(citizens, fds, thresholds):
+    """greedy-m with every violation graph detected by the naive oracle."""
+    before = _OracleJoin.instances
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "SimilarityJoin", _OracleJoin)
+        output = _run_greedy_m(citizens, fds, thresholds, "indexed")
+    assert _OracleJoin.instances > before  # the oracle really ran
+    return output
+
+
 class TestJoinStrategyThroughEngine:
-    @pytest.mark.parametrize("strategy", ["naive", "filtered", "qgram",
-                                          "indexed"])
+    @pytest.mark.parametrize("strategy", ["indexed", "vectorized"])
     def test_strategies_produce_identical_repairs(
         self, strategy, citizens, citizens_fds, citizens_thresholds
     ):
-        reference = Repairer(
-            citizens_fds, algorithm="greedy-m",
-            thresholds=citizens_thresholds, join_strategy="filtered",
-        ).repair(citizens)
-        other = Repairer(
-            citizens_fds, algorithm="greedy-m",
-            thresholds=citizens_thresholds, join_strategy=strategy,
-        ).repair(citizens)
-        assert {(e.cell, e.new) for e in other.edits} == {
-            (e.cell, e.new) for e in reference.edits
+        _, reference, _ = _oracle_greedy_m(
+            citizens, citizens_fds, citizens_thresholds
+        )
+        _, edits, _ = _run_greedy_m(
+            citizens, citizens_fds, citizens_thresholds, strategy
+        )
+        assert {(cell, new) for cell, _, new in edits} == {
+            (cell, new) for cell, _, new in reference
         }
 
     def test_strategies_byte_identical_repaired_relations(
         self, citizens, citizens_fds, citizens_thresholds
     ):
         """Not just the same edit set: identical rows, costs and order."""
-        outputs = []
-        for strategy in ("naive", "filtered", "qgram", "indexed"):
-            result = Repairer(
-                citizens_fds, algorithm="greedy-m",
-                thresholds=citizens_thresholds, join_strategy=strategy,
-            ).repair(citizens)
-            outputs.append(
-                (
-                    [tuple(result.relation.row(t))
-                     for t in result.relation.tids()],
-                    [(e.cell, e.old, e.new) for e in result.edits],
-                    result.cost,
-                )
-            )
-        assert all(output == outputs[0] for output in outputs[1:])
-
-    def test_simjoin_strategy_alias_accepted(self, citizens, citizens_fds,
-                                             citizens_thresholds):
-        repairer = Repairer(
-            citizens_fds, thresholds=citizens_thresholds,
-            simjoin_strategy="naive",
+        reference = _oracle_greedy_m(
+            citizens, citizens_fds, citizens_thresholds
         )
-        assert repairer.join_strategy == "naive"
-        assert repairer.simjoin_strategy == "naive"
+        for strategy in ("indexed", "vectorized"):
+            assert _run_greedy_m(
+                citizens, citizens_fds, citizens_thresholds, strategy
+            ) == reference, strategy
 
     def test_default_strategy_is_indexed(self, citizens_fds):
         assert Repairer(citizens_fds).join_strategy == "indexed"
 
     def test_unknown_strategy_raises_at_repair(self, citizens, citizens_fds,
                                                citizens_thresholds):
-        repairer = Repairer(
-            citizens_fds, thresholds=citizens_thresholds,
-            join_strategy="hash-blocking",
-        )
-        with pytest.raises(ValueError):
-            repairer.repair(citizens)
+        with pytest.raises(ValueError, match="unknown join_strategy"):
+            Repairer(
+                citizens_fds, thresholds=citizens_thresholds,
+                join_strategy="hash-blocking",
+            ).repair(citizens)
 
 
 class TestSquashEdits:

@@ -46,14 +46,14 @@ class TestLifecycle:
 class TestServing:
     def test_clean_record_passes_through(self, fitted):
         repairer, reference = fitted
-        record = reference.record(0)
+        record = reference.as_record(0)
         repaired, edits = repairer.repair_record(record)
         assert edits == []
         assert repaired == dict(record)
 
     def test_corrupted_record_restored(self, fitted):
         repairer, reference = fitted
-        record = dict(reference.record(5))
+        record = dict(reference.as_record(5))
         truth_zip = record["ZipCode"]
         record["ZipCode"] = truth_zip[:-1] + "x"  # typo
         repaired, edits = repairer.repair_record(record)
@@ -62,7 +62,7 @@ class TestServing:
 
     def test_swap_error_restored(self, fitted):
         repairer, reference = fitted
-        record = dict(reference.record(7))
+        record = dict(reference.as_record(7))
         truth_city = record["City"]
         other_city = next(
             v for v in reference.active_domain("City") if v != truth_city
@@ -73,7 +73,7 @@ class TestServing:
 
     def test_free_attributes_untouched(self, fitted):
         repairer, reference = fitted
-        record = dict(reference.record(3))
+        record = dict(reference.as_record(3))
         record["Score"] = 12345.0
         record["ZipCode"] = record["ZipCode"][:-1] + "q"
         repaired, _ = repairer.repair_record(record)
@@ -82,7 +82,7 @@ class TestServing:
     def test_counters(self, fitted):
         repairer, reference = fitted
         before = repairer.records_seen
-        repairer.repair_record(reference.record(0))
+        repairer.repair_record(reference.as_record(0))
         assert repairer.records_seen == before + 1
 
     def test_batch_matches_record_by_record(self, fitted):
@@ -92,8 +92,8 @@ class TestServing:
         )
         batch = repairer.repair_batch(dirty)
         for tid in list(dirty.tids())[:20]:
-            record, _ = repairer.repair_record(dirty.record(tid))
-            assert batch.record(tid) == record
+            record, _ = repairer.repair_record(dirty.as_record(tid))
+            assert batch.as_record(tid) == record
 
     def test_batch_quality(self, fitted):
         from repro.eval.metrics import evaluate_repair
@@ -125,7 +125,7 @@ def _fresh_facility_record(reference):
     beyond its tau against all reference patterns (normalized edit
     distance >= 7/14 per attribute).
     """
-    record = dict(reference.record(0))
+    record = dict(reference.as_record(0))
     for attr in _FACILITY_ATTRS:
         record[attr] = record[attr] + "-zzzzzzz"
     return record
@@ -185,7 +185,7 @@ class TestPersistence:
 
         dirty, _ = inject_noise(reference, HOSP_FDS, NoiseConfig(0.04), rng=77)
         for tid in list(dirty.tids())[:40]:
-            record = dirty.record(tid)
+            record = dirty.as_record(tid)
             original_out, _ = repairer.repair_record(record)
             restored_out, _ = restored.repair_record(record)
             assert original_out == restored_out
@@ -200,7 +200,7 @@ class TestPersistence:
         path = tmp_path / "citizens.json"
         save_model(repairer, path)
         restored = load_model(path)
-        record = dict(clean.record(0))
+        record = dict(clean.as_record(0))
         record["Level"] = 1.0  # break phi1
         fixed, _ = restored.repair_record(record)
         assert fixed["Level"] == 3.0
@@ -224,7 +224,7 @@ class TestPersistence:
         from repro.core.incremental import load_model, save_model
 
         repairer, reference = fitted
-        repairer.repair_record(reference.record(0))
+        repairer.repair_record(reference.as_record(0))
         path = tmp_path / "model.json"
         save_model(repairer, path)
         restored = load_model(path)

@@ -1,9 +1,10 @@
-"""Differential tests for the Levenshtein kernels and one-vs-many API.
+"""Differential tests for the Levenshtein kernel and one-vs-many API.
 
-The Myers bit-parallel kernel replaced the DP kernels on the hot path;
-these tests pin the equivalence that makes the swap safe:
+The Myers bit-parallel kernel is the library's only edit-distance
+kernel; these tests pin it against the two-row dynamic program in
+``tests/oracles/kernels.py``:
 
-* ``myers == two_row == banded`` over adversarial unicode (astral-plane
+* ``levenshtein == two_row`` over adversarial unicode (astral-plane
   code points, strings past the 64-bit word boundary, empty strings) and
   every upper-bound regime (``None``, 0, 1, ``len``, negative);
 * the prepared one-vs-many comparers return the same values — and the
@@ -12,28 +13,18 @@ these tests pin the equivalence that makes the swap safe:
   rebuilds when the underlying values change.
 
 Bounded kernels only promise the exact distance when it is within the
-bound; beyond it, two_row may return the true distance while Myers and
-banded clamp to ``bound + 1``. Both satisfy the contract, so bounded
+bound; beyond it, two_row may return the true distance while Myers
+clamps to ``bound + 1``. Both satisfy the contract, so bounded
 comparisons canonicalize through ``min(result, bound + 1)``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.distances import (
-    KERNELS,
-    DistanceKernel,
-    DistanceModel,
-    default_kernel,
-    levenshtein,
-    levenshtein_banded,
-    levenshtein_myers,
-    levenshtein_two_row,
-    set_default_kernel,
-    use_kernel,
-)
+from repro.core.distances import DistanceKernel, DistanceModel, levenshtein
 from repro.dataset.relation import Relation, Schema
 from repro.index.registry import AttributeIndexRegistry
+from tests.oracles.kernels import levenshtein_two_row
 
 # ascii, space, combining-free accents, CJK, and astral-plane symbols
 # (musical G clef, emoji) — the latter exercise non-BMP code points.
@@ -58,47 +49,43 @@ class TestKernelDifferential:
     @given(words, words)
     def test_unbounded_agreement(self, a, b):
         expected = levenshtein_two_row(a, b)
-        assert levenshtein_myers(a, b) == expected
-        # banded needs a bound; max(len) can never be exceeded
-        trivial = max(len(a), len(b))
-        assert levenshtein_banded(a, b, trivial) == expected
+        assert levenshtein(a, b) == expected
+        # max(len) can never be exceeded
+        assert levenshtein(a, b, max(len(a), len(b))) == expected
 
     @given(words, words)
     def test_bounded_agreement(self, a, b):
         for bound in bounds_for(a, b):
             reference = canonical(levenshtein_two_row(a, b, bound), bound)
-            assert canonical(levenshtein_myers(a, b, bound), bound) == reference
-            assert canonical(levenshtein_banded(a, b, bound), bound) == reference
+            assert canonical(levenshtein(a, b, bound), bound) == reference
 
     @given(words, words, st.integers(min_value=0, max_value=13))
     def test_random_bounds(self, a, b, bound):
         reference = canonical(levenshtein_two_row(a, b, bound), bound)
-        assert canonical(levenshtein_myers(a, b, bound), bound) == reference
-        assert canonical(levenshtein_banded(a, b, bound), bound) == reference
+        assert canonical(levenshtein(a, b, bound), bound) == reference
 
     @settings(max_examples=40)
     @given(long_words, long_words)
     def test_strings_past_word_boundary(self, a, b):
         expected = levenshtein_two_row(a, b)
-        assert levenshtein_myers(a, b) == expected
+        assert levenshtein(a, b) == expected
         bound = len(a) // 2
-        assert canonical(levenshtein_myers(a, b, bound), bound) == canonical(
+        assert canonical(levenshtein(a, b, bound), bound) == canonical(
             levenshtein_two_row(a, b, bound), bound
         )
 
     @given(words)
     def test_empty_versus_any(self, a):
-        assert levenshtein_myers("", a) == len(a)
-        assert levenshtein_myers(a, "") == len(a)
+        assert levenshtein("", a) == len(a)
+        assert levenshtein(a, "") == len(a)
         for bound in (0, 1, len(a)):
             reference = canonical(levenshtein_two_row("", a, bound), bound)
-            assert canonical(levenshtein_myers("", a, bound), bound) == reference
-            assert canonical(levenshtein_banded("", a, bound), bound) == reference
+            assert canonical(levenshtein("", a, bound), bound) == reference
 
 
 class TestDegenerateCorners:
-    """Raw (un-canonicalized) agreement on the corners the DP kernels
-    used to disagree on: empty strings under tight bounds, negative
+    """Raw (un-canonicalized) agreement with the oracle on the corners
+    of the bounded contract: empty strings under tight bounds, negative
     bounds, and a zero bound over equal-length strings."""
 
     CORNERS = [
@@ -115,8 +102,7 @@ class TestDegenerateCorners:
     @pytest.mark.parametrize("a,b,bound,expected", CORNERS)
     def test_all_kernels_agree(self, a, b, bound, expected):
         assert levenshtein_two_row(a, b, bound) == expected
-        assert levenshtein_myers(a, b, bound) == expected
-        assert levenshtein_banded(a, b, bound) == expected
+        assert levenshtein(a, b, bound) == expected
 
 
 class TestOneVsMany:
@@ -124,7 +110,7 @@ class TestOneVsMany:
     def test_prepared_equals_pairwise(self, left, rights):
         prepared = DistanceKernel.prepare(left)
         for right in rights:
-            assert prepared.compare(right) == levenshtein_myers(left, right)
+            assert prepared.compare(right) == levenshtein(left, right)
 
     @given(words, st.lists(words, min_size=1, max_size=8))
     def test_prepared_equals_pairwise_bounded(self, left, rights):
@@ -143,38 +129,6 @@ class TestOneVsMany:
         assert prepared.compare("sitting") == 3  # unchanged after reuse
 
 
-class TestDispatch:
-    def test_default_is_myers(self):
-        assert default_kernel() == "myers"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_kernel("quadratic")
-
-    def test_use_kernel_switches_and_restores(self):
-        before = default_kernel()
-        with use_kernel("two_row"):
-            assert default_kernel() == "two_row"
-        assert default_kernel() == before
-
-    def test_use_kernel_restores_on_error(self):
-        before = default_kernel()
-        with pytest.raises(RuntimeError):
-            with use_kernel("banded"):
-                raise RuntimeError("boom")
-        assert default_kernel() == before
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_dispatch_values_identical(self, kernel):
-        cases = [("kitten", "sitting"), ("Boston", "Boton"), ("", "abc")]
-        with use_kernel(kernel):
-            for a, b in cases:
-                assert levenshtein(a, b) == levenshtein_two_row(a, b)
-                assert canonical(
-                    levenshtein(a, b, upper_bound=1), 1
-                ) == canonical(levenshtein_two_row(a, b, 1), 1)
-
-
 def _twin_models():
     schema = Schema.of("A")
     rows = [("Boston",), ("Boton",), ("Chicago",), ("",)]
@@ -191,34 +145,30 @@ class TestPreparedModelEquivalence:
 
     VALUES = ["Boston", "Boton", "Bostn", "Chicago", "", "Bos"]
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_prepare_distance_matches(self, kernel):
+    def test_prepare_distance_matches(self):
         pairwise, prepared_model = _twin_models()
-        with use_kernel(kernel):
-            for left in self.VALUES:
-                compare = prepared_model.prepare_distance("A", left)
-                for right in self.VALUES:
-                    assert compare(right) == pairwise.attribute_distance(
-                        "A", left, right
-                    )
+        for left in self.VALUES:
+            compare = prepared_model.prepare_distance("A", left)
+            for right in self.VALUES:
+                assert compare(right) == pairwise.attribute_distance(
+                    "A", left, right
+                )
         assert prepared_model.cache_hits == pairwise.cache_hits
         assert prepared_model.cache_misses == pairwise.cache_misses
         assert prepared_model.kernel_calls == pairwise.kernel_calls
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_prepare_within_matches(self, kernel):
+    def test_prepare_within_matches(self):
         pairwise, prepared_model = _twin_models()
         limits = [-0.5, 0.0, 0.2, 0.5, 1.0]
-        with use_kernel(kernel):
-            for left in self.VALUES:
-                compare = prepared_model.prepare_within("A", left)
-                for right in self.VALUES:
-                    for limit in limits:
-                        assert compare(right, limit) == (
-                            pairwise.attribute_distance_within(
-                                "A", left, right, limit
-                            )
+        for left in self.VALUES:
+            compare = prepared_model.prepare_within("A", left)
+            for right in self.VALUES:
+                for limit in limits:
+                    assert compare(right, limit) == (
+                        pairwise.attribute_distance_within(
+                            "A", left, right, limit
                         )
+                    )
         assert prepared_model.cache_hits == pairwise.cache_hits
         assert prepared_model.cache_misses == pairwise.cache_misses
         assert prepared_model.kernel_calls == pairwise.kernel_calls

@@ -16,11 +16,11 @@ from repro.core.single.mis import (
     ExpansionLimitError,
     ExpansionStats,
     best_maximal_independent_set,
-    brute_force_maximal_independent_sets,
     enumerate_maximal_independent_sets,
 )
 from repro.core.violation import Pattern
 from repro.dataset.relation import Relation, Schema
+from tests.oracles.mis import brute_force_maximal_independent_sets
 
 
 def _random_graph(seed: int, n_max: int = 9) -> ViolationGraph:

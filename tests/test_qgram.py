@@ -1,10 +1,9 @@
 """Tests for the q-gram filter machinery."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.distances import levenshtein
-from repro.index.qgram import QGramIndex, passes_count_filter, qgram_overlap
+from repro.index.qgram import passes_count_filter, qgram_overlap
 
 words = st.text(alphabet="abcde", max_size=10)
 
@@ -37,51 +36,3 @@ class TestCountFilter:
         """The filter may only reject pairs whose distance exceeds k."""
         if levenshtein(a, b) <= k:
             assert passes_count_filter(a, b, k)
-
-
-class TestQGramIndex:
-    @pytest.fixture
-    def index(self):
-        idx = QGramIndex()
-        idx.extend(["boston", "boton", "austin", "dallas", "houston"])
-        return idx
-
-    def test_len_and_lookup(self, index):
-        assert len(index) == 5
-        assert index.string(0) == "boston"
-
-    def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            QGramIndex(q=0)
-
-    def test_search_finds_close_strings(self, index):
-        hits = index.search("boston", 1)
-        found = {index.string(sid) for sid, _ in hits}
-        assert found == {"boston", "boton"}
-
-    def test_search_distances_are_exact(self, index):
-        for sid, dist in index.search("bostan", 2):
-            assert dist == levenshtein("bostan", index.string(sid))
-
-    def test_search_sorted_by_distance(self, index):
-        hits = index.search("boston", 3)
-        dists = [d for _, d in hits]
-        assert dists == sorted(dists)
-
-    def test_candidates_superset_of_matches(self, index):
-        candidates = set(index.candidates("botson", 2))
-        for sid in range(len(index)):
-            if levenshtein("botson", index.string(sid)) <= 2:
-                assert sid in candidates
-
-    @given(st.lists(words, min_size=1, max_size=15), words, st.integers(0, 4))
-    def test_search_equals_brute_force(self, corpus, query, k):
-        index = QGramIndex()
-        index.extend(corpus)
-        expected = sorted(
-            (sid, levenshtein(query, s))
-            for sid, s in enumerate(corpus)
-            if levenshtein(query, s) <= k
-        )
-        got = sorted(index.search(query, k))
-        assert {sid for sid, _ in got} == {sid for sid, _ in expected}

@@ -90,7 +90,7 @@ class TestRelation:
         assert simple_relation.value(0, "A") == "patched"
 
     def test_record(self, simple_relation):
-        record = simple_relation.record(0)
+        record = simple_relation.as_record(0)
         assert record == {"A": "x1", "B": "y1", "C": "z1", "N": 1.0}
 
     def test_project(self, simple_relation):
@@ -135,7 +135,7 @@ class TestRelation:
         assert len(list(simple_relation)) == 4
 
     def test_from_dicts(self, simple_schema):
-        rel = Relation.from_dicts(
+        rel = Relation.from_records(
             simple_schema, [{"A": "a", "B": "b", "C": "c", "N": 1}]
         )
         assert rel.row(0) == ("a", "b", "c", 1.0)

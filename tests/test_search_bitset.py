@@ -26,11 +26,11 @@ from repro.core.single.mis import (
     ExpansionStats,
     best_maximal_independent_set,
     enumerate_maximal_independent_sets,
-    enumerate_maximal_independent_sets_setbased,
 )
 from repro.core.violation import Pattern
 from repro.dataset.relation import Relation, Schema
 from repro.obs import repair_output_hash
+from tests.oracles.mis import enumerate_maximal_independent_sets_setbased
 
 # statistics fields the two enumeration engines must agree on exactly
 # (the search_* counters are bitset-only instrumentation)

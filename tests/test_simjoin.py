@@ -1,13 +1,18 @@
-"""Tests for the similarity self-join strategies."""
+"""Tests for the similarity self-join strategies against the naive oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import FD
-from repro.core.distances import DistanceModel, Weights
+from repro.core.distances import (
+    DistanceModel,
+    Weights,
+    normalized_edit_distance,
+)
 from repro.core.violation import group_patterns
 from repro.dataset.relation import Relation, Schema
 from repro.index.simjoin import STRATEGIES, SimilarityJoin
+from tests.oracles.simjoin import NaiveJoin
 
 
 @pytest.fixture
@@ -15,8 +20,14 @@ def fd():
     return FD.parse("City -> State")
 
 
+def _make_join(fd, model, tau, strategy):
+    if strategy == "naive":
+        return NaiveJoin(fd, model, tau)
+    return SimilarityJoin(fd, model, tau, strategy=strategy)
+
+
 def _join(citizens, model, fd, tau, strategy):
-    join = SimilarityJoin(fd, model, tau, strategy=strategy)
+    join = _make_join(fd, model, tau, strategy)
     patterns = group_patterns(citizens, fd)
     pairs = join.join(patterns)
     return {
@@ -33,7 +44,7 @@ class TestStrategies:
         with pytest.raises(ValueError):
             SimilarityJoin(fd, citizens_model, -0.1)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", ("naive",) + STRATEGIES)
     def test_finds_expected_citizens_pairs(self, citizens, citizens_model, fd,
                                            strategy):
         pairs, _ = _join(citizens, citizens_model, fd, 0.55, strategy)
@@ -42,27 +53,30 @@ class TestStrategies:
 
     def test_all_strategies_agree(self, citizens, citizens_model, fd):
         reference, _ = _join(citizens, citizens_model, fd, 0.55, "naive")
-        for strategy in STRATEGIES[1:]:
+        for strategy in STRATEGIES:
             pairs, _ = _join(citizens, citizens_model, fd, 0.55, strategy)
             assert pairs == reference
 
     def test_filter_counters(self, citizens, citizens_model, fd):
-        _, join = _join(citizens, citizens_model, fd, 0.55, "qgram")
+        # tau 10 leaves every blocker vacuous: indexed scans all pairs
+        _, join = _join(citizens, citizens_model, fd, 10.0, "indexed")
+        assert join.plan.kind == "scan"
         assert join.pairs_examined == 10  # 5 distinct patterns -> C(5,2)
         assert 0 <= join.pairs_filtered <= join.pairs_examined
 
     def test_tau_zero_yields_nothing(self, citizens, citizens_model, fd):
-        pairs, _ = _join(citizens, citizens_model, fd, 0.0, "filtered")
-        assert pairs == set()
+        for strategy in STRATEGIES:
+            pairs, _ = _join(citizens, citizens_model, fd, 0.0, strategy)
+            assert pairs == set()
 
     def test_large_tau_yields_all_pairs(self, citizens, citizens_model, fd):
-        pairs, join = _join(citizens, citizens_model, fd, 10.0, "filtered")
-        assert len(pairs) == join.pairs_examined
+        pairs, join = _join(citizens, citizens_model, fd, 10.0, "indexed")
+        assert len(pairs) == join.pairs_examined == join.possible_pairs
 
 
 def _exact_violation_list(relation, fd, model, tau, strategy):
     """(left, right, distance) triples, in emission order."""
-    join = SimilarityJoin(fd, model, tau, strategy=strategy)
+    join = _make_join(fd, model, tau, strategy)
     return [
         (v.left.values, v.right.values, v.distance)
         for v in join.join(group_patterns(relation, fd))
@@ -88,8 +102,8 @@ def test_property_strategies_identical_on_random_relations(rows, tau):
     model = DistanceModel(relation)
     patterns = group_patterns(relation, fd)
     results = []
-    for strategy in STRATEGIES:
-        join = SimilarityJoin(fd, model, tau, strategy=strategy)
+    for strategy in ("naive",) + STRATEGIES:
+        join = _make_join(fd, model, tau, strategy)
         results.append(
             {
                 frozenset((v.left.values, v.right.values))
@@ -186,7 +200,54 @@ class TestIndexedEquivalence:
         assert counters["blocker"] is not None  # scan or a blocker label
 
     def test_naive_never_filters(self, citizens, citizens_model, fd):
-        join = SimilarityJoin(fd, citizens_model, 0.55, strategy="naive")
+        join = NaiveJoin(fd, citizens_model, 0.55)
         join.join(group_patterns(citizens, fd))
         assert join.pairs_filtered == 0
         assert join.pairs_verified == join.pairs_examined == join.possible_pairs
+
+
+class TestScanFallback:
+    """``indexed`` with a ``scan`` plan runs the length-filtered pair
+    scan; it must match the oracle exactly, order and distances
+    included. Attributes with a distance override offer the planner
+    nothing to block on, which forces the scan at every ``tau``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text("abc", min_size=0, max_size=7),
+                st.text("xyz", min_size=0, max_size=5),
+            ),
+            min_size=2,
+            max_size=14,
+        ),
+        tau=st.floats(0.0, 1.1),
+        w_lhs=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_scan_plan_matches_oracle(self, rows, tau, w_lhs):
+        relation = Relation(Schema.of("City", "State"), rows)
+        fd = FD.parse("City -> State")
+        model = DistanceModel(
+            relation,
+            weights=Weights(w_lhs, round(1.0 - w_lhs, 12)),
+            overrides={
+                "City": normalized_edit_distance,
+                "State": normalized_edit_distance,
+            },
+        )
+        patterns = group_patterns(relation, fd)
+        join = SimilarityJoin(fd, model, tau, strategy="indexed")
+        got = [
+            (v.left.values, v.right.values, v.distance)
+            for v in join.join(patterns)
+        ]
+        assert join.plan.kind == "scan"
+        oracle = NaiveJoin(fd, model, tau)
+        want = [
+            (v.left.values, v.right.values, v.distance)
+            for v in oracle.join(patterns)
+        ]
+        assert got == want
+        assert join.pairs_examined == oracle.pairs_examined
+        assert join.candidates_generated == join.possible_pairs

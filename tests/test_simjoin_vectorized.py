@@ -1,10 +1,11 @@
 """Equivalence and fallback tests for the vectorized join strategy.
 
 The ``vectorized`` strategy must be observationally identical to
-``indexed`` (and hence ``naive``): the same violations, the same
-distances, the same emission order — while examining candidate pairs at
-distinct-dictionary-id granularity and fanning matches back out to
-tuple pairs through the dictionary frequency lists.
+``indexed`` and the naive oracle (``tests/oracles/simjoin.py``): the
+same violations, the same distances, the same emission order — while
+examining candidate pairs at distinct-dictionary-id granularity and
+fanning matches back out to tuple pairs through the dictionary
+frequency lists.
 """
 
 import warnings
@@ -23,6 +24,7 @@ from repro.index.simjoin import (
     DegradedJoinWarning,
     SimilarityJoin,
 )
+from tests.oracles.simjoin import NaiveJoin
 
 try:
     import numpy as _np
@@ -36,7 +38,10 @@ requires_numpy = pytest.mark.skipif(
 
 def _violations(relation, fd, model, tau, strategy):
     """(left, right, distance) triples, in emission order."""
-    join = SimilarityJoin(fd, model, tau, strategy=strategy)
+    if strategy == "naive":
+        join = NaiveJoin(fd, model, tau)
+    else:
+        join = SimilarityJoin(fd, model, tau, strategy=strategy)
     return [
         (v.left.values, v.right.values, v.distance)
         for v in join.join(group_patterns(relation, fd))
@@ -165,10 +170,8 @@ class TestCounters:
 
     def test_scalar_strategies_report_zero(self, citizens, citizens_model):
         fd = FD.parse("City -> State")
-        for strategy in ("naive", "indexed"):
-            _, join = _violations(
-                citizens, fd, citizens_model, 0.55, strategy
-            )
+        for tau in (0.55, 10.0):  # a block plan, then the scan fallback
+            _, join = _violations(citizens, fd, citizens_model, tau, "indexed")
             assert join.distinct_pairs_examined == 0
             assert join.tuple_fanout == 0
             assert join.vector_filter_passes == 0
