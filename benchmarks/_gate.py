@@ -1,28 +1,23 @@
-"""Shared conventions for the CI gate scripts in this directory.
+"""Shared constants of the CI gate table (``check_all_gates.py``).
 
-Every ``check_*_gate.py`` follows the same contract:
+Exit codes of the checker:
 
-* exit ``EXIT_PASS`` (0) — the gated property holds;
-* exit ``EXIT_REGRESSION`` (1) — the bench ran but the property failed
-  (a real regression, fail the job loudly);
-* exit ``EXIT_MISSING`` (2) — the gate could not run at all (missing or
+* ``EXIT_PASS`` (0) — every gated property holds;
+* ``EXIT_REGRESSION`` (1) — a bench ran but a property failed (a real
+  regression, fail the job loudly);
+* ``EXIT_MISSING`` (2) — a gate could not run at all (missing or
   malformed bench file, missing tooling). CI treats this differently
   from a regression: the *pipeline* is broken, not the code under test.
 
-Each gate also appends a small markdown block to
-``$GITHUB_STEP_SUMMARY`` when that variable is set (it is, inside a
-GitHub Actions step), so the verdict is readable from the run's summary
-page without digging through logs. Outside CI the summary is skipped.
-
 ``calibration_seconds()`` times a fixed pure-Python workload so
 wall-clock measurements can be compared across machines of different
-speeds: the perf gate diffs *calibrated* ratios (wall / calibration),
-which cancels the machine's scalar speed out of the comparison.
+speeds: the perf and search rows compare *calibrated* times (seconds /
+calibration), which cancels the machine's scalar speed out of the
+comparison. Every bench writer stamps its entries with it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 from typing import Optional
@@ -31,35 +26,8 @@ EXIT_PASS = 0
 EXIT_REGRESSION = 1
 EXIT_MISSING = 2
 
-#: repository root (gates live in benchmarks/)
+#: repository root (the checker lives in benchmarks/)
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def step_summary(markdown: str) -> None:
-    """Append *markdown* to the GitHub Actions step summary, if any.
-
-    A no-op outside CI (``GITHUB_STEP_SUMMARY`` unset) and on any I/O
-    error — the gate's exit code is the contract, the summary is
-    best-effort decoration.
-    """
-    path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not path:
-        return
-    try:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(markdown.rstrip() + "\n\n")
-    except OSError:
-        pass
-
-
-def verdict_summary(gate: str, verdict: str, detail: str = "") -> None:
-    """The one-line verdict block every gate emits."""
-    icon = {"PASS": "✅", "FAIL": "❌", "MISSING": "⚠️"}.get(verdict, "")
-    lines = [f"### {gate}: {icon} {verdict}"]
-    if detail:
-        lines.append("")
-        lines.append(detail)
-    step_summary("\n".join(lines))
 
 
 _CALIBRATION_CACHE: Optional[float] = None

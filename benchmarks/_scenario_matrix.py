@@ -12,13 +12,13 @@ appends one ``kind="scenario"`` entry:
   counts and per-detector seconds;
 * the FD anchor — a full ``greedy-m`` repair of the ``fd-noise``
   scenario scored against the injected truth, run twice (detectors off,
-  every detector on) with both output hashes recorded. The scenario
-  gate (``benchmarks/check_scenario_gate.py``) fails when the hashes
-  diverge: detectors are an advisory signal layer and must never change
+  every detector on) with both output hashes recorded. The
+  ``scenario`` rows of ``benchmarks/check_all_gates.py`` fail when the
+  hashes diverge: detectors are an advisory signal layer and must never change
   the repair (``docs/scenarios.md``).
 
-The ``kind`` marker keeps ``benchmarks/check_perf_gate.py`` from
-trending these entries as end-to-end repair runs.
+The ``kind`` marker keeps the ``perf`` gate rows from trending these
+entries as end-to-end repair runs.
 
 Usage::
 

@@ -1,9 +1,9 @@
 """Append one serving-layer run to the ``BENCH_serve.json`` trajectory.
 
-Measures the four serving claims ``benchmarks/check_serve_gate.py``
-gates, on a synthetic catalog workload (distinct 12–14 char codes and
-names under tight thresholds — the regime where q-gram candidate
-generation has pruning power):
+Measures the four serving claims the ``serve`` rows of
+``benchmarks/check_all_gates.py`` gate, on a synthetic catalog workload
+(distinct 12–14 char codes and names under tight thresholds — the
+regime where q-gram candidate generation has pruning power):
 
 1. **sustained load** — a fleet of async clients drives the micro-
    batched service (10% dirty records) for ``N_REQUESTS``; the entry
@@ -20,9 +20,8 @@ generation has pruning power):
    batch :meth:`IncrementalRepairer.repair_record`; any byte difference
    is recorded (and fails the gate).
 
-Entries carry ``"kind": "serve"`` so the end-to-end perf gate
-(``benchmarks/check_perf_gate.py``) skips them when the two
-trajectories share a file.
+Entries carry ``"kind": "serve"`` so the end-to-end ``perf`` gate rows
+skip them when the two trajectories share a file.
 
 Usage::
 

@@ -12,8 +12,8 @@ normalized entry:
   (:func:`benchmarks._gate.calibration_seconds`) that lets the gate
   compare runs across machines;
 * counters — the unified registry snapshot (pair/kernel/cache work);
-* correctness — the repair output hash. The perf gate
-  (``benchmarks/check_perf_gate.py``) fails on any hash drift: a perf
+* correctness — the repair output hash. The ``perf`` gate rows
+  (``benchmarks/check_all_gates.py``) fail on any hash drift: a perf
   win that changes repairs is a correctness regression.
 
 Every entry, of every kind, also records exact-search degradation
@@ -27,13 +27,13 @@ trip plus greedy, not an exact search.
 Each entry also breaks the *search phase* out of the span totals
 (``search_phase_seconds``: ``mis_enumeration``, ``greedy_growth``,
 ``combination``, ``tree_search``; ``search_seconds`` is their sum) —
-the numbers ``benchmarks/check_search_gate.py`` compares against the
-committed pre-bitset baselines.
+the numbers the ``search`` gate rows compare against the committed
+pre-bitset baselines.
 
 ``--substrate`` appends a ``tax_substrate`` entry instead: the columnar
 substrate measured at paper scale — a 1M-row (125k at smoke) Tax load in
 fresh subprocesses at two sizes (the marginal per-tuple RSS between them
-is the flatness number ``benchmarks/check_substrate_gate.py`` gates), an
+is the flatness number the ``substrate`` gate rows check), an
 ``n_jobs=2`` repair recording the relation-shipping traffic
 (``relation_bytes_shipped``, per-task message sizes, and the row-major
 bytes the pre-1.2 substrate would have pickled per task), and the
@@ -47,15 +47,15 @@ counters), the same sweep on a Tax substrate slice whose constant
 active domain is the regime dictionary-granularity filtering exists
 for, and a five-algorithm repair-hash sweep at serial and ``n_jobs=2``
 under ``join_strategy="vectorized"`` — the equality and speedup floors
-``benchmarks/check_simjoin_gate.py`` gates.
+the ``simjoin`` gate rows check.
 
 ``--sched`` appends a ``skew_sched`` entry: the adaptive skew-aware
 scheduler (``docs/parallelism.md``) measured on the skewed generator's
 one-giant-component workload. It repairs the same relation three ways —
 serial, statically scheduled at ``n_jobs=4``, and adaptively split into
 subtree tasks — and records the measured per-unit CPU seconds plus the
-*modeled* list-schedule speedups ``benchmarks/check_sched_gate.py``
-gates (modeled, because CPU-time replay is meaningful on any runner,
+*modeled* list-schedule speedups the ``sched`` gate rows check
+(modeled, because CPU-time replay is meaningful on any runner,
 including single-core containers where wall clocks cannot show a
 speedup). A five-algorithm hash sweep across serial and split settings
 pins the determinism contract: splitting may only re-order work, never

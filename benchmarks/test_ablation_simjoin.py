@@ -14,7 +14,8 @@ of both strategies and the oracle's full scan on a noisy generated HOSP
 slice (5k tuples at ``REPRO_BENCH_SCALE=paper``, 800 at smoke) and
 appends the wall clocks and candidate counters to the
 ``BENCH_simjoin.json`` trajectory file at the repository root;
-``benchmarks/check_simjoin_gate.py`` gates CI on its latest entry.
+the ``simjoin`` rows of ``benchmarks/check_all_gates.py`` gate CI on
+its latest entry.
 """
 
 import json

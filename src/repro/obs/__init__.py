@@ -17,8 +17,9 @@ gives them one spine:
 * :func:`peak_rss_bytes` — dependency-free peak-RSS sampling.
 
 See ``docs/observability.md`` for the API walkthrough and the report
-schema, and ``benchmarks/check_perf_gate.py`` for the CI gate that
-consumes the reports' trajectory (``BENCH_repair.json``).
+schema, and the ``perf`` rows of ``benchmarks/check_all_gates.py`` for
+the CI gate that consumes the reports' trajectory
+(``BENCH_repair.json``).
 """
 
 from repro.obs.counters import CounterRegistry, merged_snapshot

@@ -19,8 +19,9 @@ long-lived service:
   asyncio HTTP front-end behind ``repro serve``.
 
 See ``docs/serving.md`` for the walkthrough and
-``benchmarks/_serve_bench.py`` for the sustained-load benchmark the CI
-gate (``benchmarks/check_serve_gate.py``) consumes.
+``benchmarks/_serve_bench.py`` for the sustained-load benchmark the
+``serve`` rows of the CI gate table (``benchmarks/check_all_gates.py``)
+consume.
 """
 
 from repro.serve.batching import (

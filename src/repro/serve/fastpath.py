@@ -32,7 +32,9 @@ Counters (merged into ``repro.obs`` by the service):
 
 * ``serve_elements_total`` — elements the linear scan would examine;
 * ``serve_elements_examined`` — elements the indexed path verified;
-* ``serve_index_probes`` / ``serve_index_rebuilds`` — probe traffic.
+* ``serve_index_probes`` — per-FD index probes;
+* ``serve_index_rebuilds`` — per-FD index builds after the first, i.e.
+  the lazy rebuild after an absorb invalidated the index.
 """
 
 from __future__ import annotations
@@ -171,14 +173,18 @@ class _ComponentIndex:
         self._fd_indexes: List[Optional[_FDIndex]] = [
             None for _ in component.fds
         ]
+        self._built = [False for _ in component.fds]
 
     def invalidate(self) -> None:
         """Drop the per-FD indexes (after an absorb grew the sets)."""
         self._fd_indexes = [None for _ in self.component.fds]
 
-    def _index_for(self, pos: int) -> _FDIndex:
+    def _index_for(self, pos: int, counters: Dict[str, int]) -> _FDIndex:
         index = self._fd_indexes[pos]
-        if index is None:
+        if index is None or index.n_elements != len(
+            self.component.elements_per_fd[pos]
+        ):
+            # first build, invalidated by an absorb, or grown under us
             index = _FDIndex(
                 self.component.fds[pos],
                 self.component.elements_per_fd[pos],
@@ -187,6 +193,9 @@ class _ComponentIndex:
                 self._namespace,
             )
             self._fd_indexes[pos] = index
+            if self._built[pos]:
+                counters["serve_index_rebuilds"] += 1
+            self._built[pos] = True
         return index
 
     def consistent_everywhere(
@@ -208,12 +217,7 @@ class _ComponentIndex:
             pattern = tuple(record[a] for a in fd.attributes)
             tau = thresholds[fd]
             counters["serve_elements_total"] += len(elements)
-            index = self._index_for(pos)
-            if index.n_elements != len(elements):
-                # the component grew under us (absorb): rebuild
-                self._fd_indexes[pos] = None
-                index = self._index_for(pos)
-                counters["serve_index_rebuilds"] += 1
+            index = self._index_for(pos, counters)
             candidate_ids = index.candidates(pattern, tau)
             if candidate_ids is None:
                 candidate_ids = range(len(elements))

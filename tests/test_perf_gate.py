@@ -1,10 +1,11 @@
-"""The perf-regression gate: pass, slowdown, hash drift, missing file.
+"""The perf rows of the gate table: pass, slowdown, hash drift, missing file.
 
-Drives ``benchmarks/check_perf_gate.main`` in process against synthetic
-trajectory files, plus one check that the *committed* baseline at the
-repo root is itself well-formed and self-consistent — the nightly and
-CI jobs compare against it, so a malformed commit would silently turn
-the gate into a no-op (exit 2), not a failure.
+Drives ``benchmarks/check_all_gates.main`` in process with ``--gates
+perf`` against synthetic trajectory files, plus one check that the
+*committed* baseline at the repo root is itself well-formed and
+self-consistent — the nightly and CI jobs compare against it, so a
+malformed commit would silently turn the gate into a no-op (exit 2),
+not a failure.
 """
 
 import copy
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
-import check_perf_gate  # noqa: E402
+import check_all_gates  # noqa: E402
 from _gate import EXIT_MISSING, EXIT_PASS, EXIT_REGRESSION  # noqa: E402
 
 BASELINE = {
@@ -47,7 +48,10 @@ def _latest(**overrides):
 
 
 def _run(path: Path) -> int:
-    return check_perf_gate.main(["check_perf_gate.py", str(path)])
+    """The perf gate's exit code; it reads BENCH_repair.json beside *path*."""
+    return check_all_gates.main(
+        ["check_all_gates.py", "--gates", "perf"], root=path.parent
+    )
 
 
 def test_matching_latest_passes(tmp_path):
@@ -67,7 +71,11 @@ def test_two_x_slowdown_fails(tmp_path):
 
 
 def test_regression_just_under_ceiling_passes(tmp_path):
-    ceiling = 1.0 + check_perf_gate.MAX_REGRESSION
+    ceiling = next(
+        row.bound
+        for row in check_all_gates.ROWS
+        if row.gate == "perf" and row.op == "<="
+    )
     path = _write(
         tmp_path,
         [BASELINE, _latest(wall_seconds=BASELINE["wall_seconds"] * (ceiling - 0.01))],
@@ -124,7 +132,7 @@ def test_committed_baseline_is_gate_ready():
     ):
         assert key in entry, key
     assert entry["calibration_seconds"] > 0
-    assert check_perf_gate.main(["check_perf_gate.py", str(committed)]) == EXIT_PASS
+    assert _run(committed) == EXIT_PASS
 
 
 @pytest.mark.parametrize("exit_codes", [(EXIT_PASS, EXIT_REGRESSION, EXIT_MISSING)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import typing
 import warnings
 
 import pytest
@@ -45,6 +46,11 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             RepairConfig().algorithm = "exact-m"
+
+    def test_type_hints_resolve(self):
+        # every annotation names an imported type (e.g. ``detectors``)
+        hints = typing.get_type_hints(RepairConfig)
+        assert hints["detectors"] == typing.Optional[typing.Tuple[str, ...]]
 
 
 class TestMerged:

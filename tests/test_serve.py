@@ -244,6 +244,22 @@ class TestIndexedRepairer:
         serving.repair_record(citizens_clean().as_record(0))
         assert serving.records_seen == fitted.records_seen == 1
 
+    def test_rebuild_after_absorb_is_counted(self):
+        relation = citizens_clean()
+        fitted = IncrementalRepairer(
+            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS, absorb=True
+        ).fit(relation)
+        serving = IndexedRepairer(fitted)
+        record = dict(relation.as_record(0))
+        record.update(City="Qwertyville", State="Zedland",
+                      Street="Nowhere Lane", District="Far District")
+        serving.repair_record(record)  # builds the indexes, then absorbs
+        assert serving.records_absorbed == 1
+        assert serving.counters["serve_index_rebuilds"] == 0
+        record.update(City="Xanaduopolis", State="Yonderstate")
+        serving.repair_record(record)  # unresolved: probes again
+        assert serving.counters["serve_index_rebuilds"] >= 1
+
 
 # ----------------------------------------------------------------------
 # service core
